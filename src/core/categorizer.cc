@@ -75,11 +75,7 @@ void TrueQualityVectorInto(const Workload& workload,
                            const std::vector<KnobConfig>& configs,
                            const video::ContentState& content,
                            std::vector<double>* out) {
-  out->clear();
-  out->reserve(configs.size());
-  for (const KnobConfig& k : configs) {
-    out->push_back(workload.TrueQuality(k, content));
-  }
+  workload.TrueQualities(configs, content, out);
 }
 
 Result<ContentCategories> BuildContentCategories(

@@ -85,18 +85,14 @@ IngestionEngine::IngestionEngine(const Workload* workload,
 }
 
 const IngestionEngine::SegmentTruth& IngestionEngine::CachedTruth(
-    int64_t segment_index) const {
+    int64_t segment_index, const video::ContentState& content) const {
   // Floor-mod: segment indices are non-negative in normal operation, but a
   // negative start_time must not turn into an out-of-bounds slot.
   int64_t n = static_cast<int64_t>(truth_ring_.size());
   SegmentTruth& slot =
       truth_ring_[static_cast<size_t>(((segment_index % n) + n) % n)];
   if (slot.segment_index != segment_index) {
-    double seg = model_->segment_seconds;
-    double midpoint = (static_cast<double>(segment_index) + 0.5) * seg;
-    TrueQualityVectorInto(*workload_, model_->configs,
-                          workload_->content_process().At(midpoint),
-                          &slot.quals);
+    TrueQualityVectorInto(*workload_, model_->configs, content, &slot.quals);
     slot.category = model_->categories.ClassifyFull(slot.quals);
     slot.segment_index = segment_index;
   }
@@ -110,8 +106,11 @@ void IngestionEngine::GroundTruthForecastInto(int64_t first_segment_index,
   out->assign(model_->categories.NumCategories(), 0.0);
   // Walk the same segment midpoints the ingest loop will visit, so the
   // lookahead classifications are reused there instead of recomputed.
+  const video::ContentProcess& content = workload_->content_process();
   for (int64_t i = 0; i < count; ++i) {
-    (*out)[CachedTruth(first_segment_index + i).category] += 1.0;
+    int64_t index = first_segment_index + i;
+    video::ContentState state = content.At(video::SegmentMidpoint(index, seg));
+    (*out)[CachedTruth(index, state).category] += 1.0;
   }
   *out = NormalizeHistogram(std::move(*out));
 }
@@ -414,13 +413,13 @@ Status IngestionEngine::Step() {
   double bytes_per_s =
       static_cast<double>(info.bytes) / std::max(1e-9, info.duration_s);
 
-  // One ground-truth computation per segment, shared by the category
-  // override, the §5.6 accuracy accounting below, and (when ground-truth
-  // forecasting is on) the lookahead that already classified this segment
-  // at the last plan boundary. The reference stays valid through this
-  // step: this segment's ring slot is only overwritten an interval from
-  // now.
-  const SegmentTruth& truth = CachedTruth(s.first_segment + i);
+  // One ground-truth computation per segment, on the content state the
+  // source just read, shared by the category override, the §5.6 accuracy
+  // accounting below, and (when ground-truth forecasting is on) the
+  // lookahead that already classified this segment at the last plan
+  // boundary. The reference stays valid through this step: this segment's
+  // ring slot is only overwritten an interval from now.
+  const SegmentTruth& truth = CachedTruth(s.first_segment + i, info.content);
 
   SwitchContext ctx;
   ctx.current_config_idx = s.current_config;

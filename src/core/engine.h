@@ -411,7 +411,12 @@ class IngestionEngine {
     std::vector<double> quals;
     size_t category = 0;
   };
-  const SegmentTruth& CachedTruth(int64_t segment_index) const;
+  /// The memoized truth of segment `segment_index`, computed on `content`
+  /// (the state read at video::SegmentMidpoint) when the slot is empty.
+  /// Callers pass the content they already read, so computing truth makes
+  /// no content read of its own.
+  const SegmentTruth& CachedTruth(int64_t segment_index,
+                                  const video::ContentState& content) const;
 
   /// The forecast the planner will see at the current boundary (ground
   /// truth, forecaster, recency histogram, or uniform), written into `out`.

@@ -13,6 +13,16 @@ double Workload::MeasuredQuality(const KnobConfig& config,
   return std::clamp(q, 0.0, 1.0);
 }
 
+void Workload::TrueQualities(const std::vector<KnobConfig>& configs,
+                             const video::ContentState& content,
+                             std::vector<double>* out) const {
+  out->clear();
+  out->reserve(configs.size());
+  for (const KnobConfig& k : configs) {
+    out->push_back(TrueQuality(k, content));
+  }
+}
+
 KnobConfig CheapestConfig(const Workload& workload) {
   const KnobSpace& space = workload.knob_space();
   KnobConfig best;

@@ -2,6 +2,7 @@
 #define SKYSCRAPER_CORE_WORKLOAD_H_
 
 #include <string>
+#include <vector>
 
 #include "core/knob.h"
 #include "dag/task_graph.h"
@@ -36,6 +37,16 @@ class Workload {
   /// Ground-truth result quality of `config` on `content`, in [0, 1].
   virtual double TrueQuality(const KnobConfig& config,
                              const video::ContentState& content) const = 0;
+
+  /// TrueQuality of every configuration in `configs` on one content state,
+  /// written into `out` (resized to configs.size(); its capacity is reused).
+  /// The engine's per-segment ground truth goes through here. An override
+  /// must equal calling TrueQuality per configuration bit for bit; it
+  /// exists to compute content-only terms once per call instead of once
+  /// per configuration. The default is that per-configuration loop.
+  virtual void TrueQualities(const std::vector<KnobConfig>& configs,
+                             const video::ContentState& content,
+                             std::vector<double>* out) const;
 
   /// The quality the user code would report online (certainties, tracker
   /// errors, ...): ground truth plus measurement noise, clamped to [0, 1].

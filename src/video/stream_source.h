@@ -20,6 +20,14 @@ struct SegmentInfo {
   uint64_t bytes = 0;
 };
 
+/// Time at which segment `index` of a `segment_seconds` segmentation samples
+/// its content: the segment midpoint. Every per-segment content read goes
+/// through this one formula, so the state a segment is measured on and the
+/// state it is scored on are the same bits.
+inline SimTime SegmentMidpoint(int64_t index, double segment_seconds) {
+  return static_cast<double>(index) * segment_seconds + 0.5 * segment_seconds;
+}
+
 /// Segments a live stream: pairs the content process with the byte-rate
 /// model so the ingestion engine can iterate arriving segments.
 class StreamSource {

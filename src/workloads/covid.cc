@@ -26,6 +26,13 @@ CovidWorkload::CovidWorkload(uint64_t seed)
   (void)space_.AddKnob("frame_rate", {30, 15, 10, 5, 1});
   (void)space_.AddKnob("det_interval", {1, 5, 30, 60});
   (void)space_.AddKnob("tiles", {1, 4});
+  for (double fps : space_.knob(0).values) {
+    fps_term_.push_back(std::pow(1.0 - fps / 30.0, 2.0));
+  }
+  for (double det : space_.knob(1).values) {
+    det_term_.push_back(std::pow((det - 1.0) / 59.0, 0.6));
+  }
+  for (double tiles : space_.knob(2).values) tiled_.push_back(tiles >= 4.0);
 }
 
 double CovidWorkload::CostCoreSecondsPerVideoSecond(
@@ -45,28 +52,44 @@ double CovidWorkload::CostCoreSecondsPerVideoSecond(
   return decode + detect + track + aux;
 }
 
-double CovidWorkload::TrueQuality(const core::KnobConfig& config,
-                                  const video::ContentState& content) const {
-  double fps = space_.Value(config, 0);
-  double det = space_.Value(config, 1);
-  double tiles = space_.Value(config, 2);
-  double rho = content.density;
-  double occ = content.occlusion;
+CovidWorkload::ContentTerms CovidWorkload::TermsOf(
+    const video::ContentState& content) {
+  double rho_term = std::pow(content.density, 1.2);
+  double occ_term = std::pow(content.occlusion, 1.1);
+  ContentTerms terms;
+  terms.fps_scale = 0.02 + 1.10 * rho_term;
+  terms.det_scale = 0.03 + 1.15 * occ_term;
+  terms.untiled_penalty = std::min(1.0, 0.02 + 0.55 * rho_term);
+  return terms;
+}
 
+double CovidWorkload::QualityOf(const core::KnobConfig& config,
+                                const ContentTerms& terms) const {
   // Lower frame rates miss fast pedestrians, mostly when the street is busy.
-  double fps_penalty = std::min(
-      1.0, std::pow(1.0 - fps / 30.0, 2.0) * (0.02 + 1.10 * std::pow(rho, 1.2)));
+  double fps_penalty = std::min(1.0, fps_term_[config[0]] * terms.fps_scale);
   // Sparse detector invocations make the tracker drift, which hurts under
   // occlusion ("detect-to-track" failure mode).
-  double det_penalty = std::min(
-      1.0, std::pow((det - 1.0) / 59.0, 0.6) * (0.03 + 1.15 * std::pow(occ, 1.1)));
+  double det_penalty = std::min(1.0, det_term_[config[1]] * terms.det_scale);
   // Without tiling, small/far pedestrians are missed in dense scenes.
-  double tile_penalty =
-      tiles >= 4.0 ? 0.0
-                   : std::min(1.0, 0.02 + 0.55 * std::pow(rho, 1.2));
+  double tile_penalty = tiled_[config[2]] ? 0.0 : terms.untiled_penalty;
 
   double q = (1.0 - fps_penalty) * (1.0 - det_penalty) * (1.0 - tile_penalty);
   return std::clamp(q, 0.0, 1.0);
+}
+
+double CovidWorkload::TrueQuality(const core::KnobConfig& config,
+                                  const video::ContentState& content) const {
+  return QualityOf(config, TermsOf(content));
+}
+
+void CovidWorkload::TrueQualities(const std::vector<core::KnobConfig>& configs,
+                                  const video::ContentState& content,
+                                  std::vector<double>* out) const {
+  ContentTerms terms = TermsOf(content);
+  out->resize(configs.size());
+  for (size_t k = 0; k < configs.size(); ++k) {
+    (*out)[k] = QualityOf(configs[k], terms);
+  }
 }
 
 dag::TaskGraph CovidWorkload::BuildTaskGraph(

@@ -2,6 +2,7 @@
 #define SKYSCRAPER_WORKLOADS_COVID_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/workload.h"
 #include "video/content_process.h"
@@ -31,6 +32,9 @@ class CovidWorkload : public core::Workload {
       const core::KnobConfig& config) const override;
   double TrueQuality(const core::KnobConfig& config,
                      const video::ContentState& content) const override;
+  void TrueQualities(const std::vector<core::KnobConfig>& configs,
+                     const video::ContentState& content,
+                     std::vector<double>* out) const override;
   dag::TaskGraph BuildTaskGraph(const core::KnobConfig& config,
                                 double segment_seconds,
                                 const sim::CostModel& cost_model) const override;
@@ -39,8 +43,25 @@ class CovidWorkload : public core::Workload {
   }
 
  private:
+  /// The content-only factors of the response surface, computed once per
+  /// content state.
+  struct ContentTerms {
+    double fps_scale = 0.0;        ///< 0.02 + 1.10 * density^1.2
+    double det_scale = 0.0;        ///< 0.03 + 1.15 * occlusion^1.1
+    double untiled_penalty = 0.0;  ///< min(1, 0.02 + 0.55 * density^1.2)
+  };
+  static ContentTerms TermsOf(const video::ContentState& content);
+  /// The one copy of the response surface: quality of `config` given the
+  /// content terms. TrueQuality and TrueQualities both go through it.
+  double QualityOf(const core::KnobConfig& config,
+                   const ContentTerms& terms) const;
+
   core::KnobSpace space_;
   video::DiurnalContentProcess content_;
+  /// Knob-only factors, one entry per value index of the knob.
+  std::vector<double> fps_term_;  ///< (1 - fps/30)^2
+  std::vector<double> det_term_;  ///< ((det - 1)/59)^0.6
+  std::vector<bool> tiled_;       ///< tiles >= 4
 };
 
 }  // namespace sky::workloads

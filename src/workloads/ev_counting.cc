@@ -28,6 +28,12 @@ EvCountingWorkload::EvCountingWorkload(uint64_t seed)
     : content_(EvContentOptions(seed)) {
   (void)space_.AddKnob("det_interval", {1, 5, 10});
   (void)space_.AddKnob("yolo_size", {0, 1, 2});
+  for (double det : space_.knob(0).values) {
+    det_term_.push_back(std::pow((det - 1.0) / 9.0, 0.7));
+  }
+  for (double size : space_.knob(1).values) {
+    model_term_.push_back(kYoloSizePenalty[static_cast<size_t>(size)]);
+  }
 }
 
 double EvCountingWorkload::CostCoreSecondsPerVideoSecond(
@@ -40,21 +46,39 @@ double EvCountingWorkload::CostCoreSecondsPerVideoSecond(
   return decode + detect + track;
 }
 
+EvCountingWorkload::ContentTerms EvCountingWorkload::TermsOf(
+    const video::ContentState& content) {
+  double occ = content.occlusion;
+  double difficulty = 0.5 * content.density + 0.5 * occ;
+  ContentTerms terms;
+  terms.det_scale = 0.05 + 1.10 * std::pow(occ, 1.1);
+  terms.model_scale = 0.15 + 0.85 * difficulty;
+  return terms;
+}
+
+double EvCountingWorkload::QualityOf(const core::KnobConfig& config,
+                                     const ContentTerms& terms) const {
+  // The EV result quality is mainly affected by object occlusions (§2.2).
+  double det_penalty = std::min(1.0, det_term_[config[0]] * terms.det_scale);
+  double model_penalty = model_term_[config[1]] * terms.model_scale;
+  double q = (1.0 - det_penalty) * (1.0 - model_penalty);
+  return std::clamp(q, 0.0, 1.0);
+}
+
 double EvCountingWorkload::TrueQuality(
     const core::KnobConfig& config,
     const video::ContentState& content) const {
-  double det = space_.Value(config, 0);
-  size_t size = static_cast<size_t>(space_.Value(config, 1));
-  double occ = content.occlusion;
-  double rho = content.density;
-  double difficulty = 0.5 * rho + 0.5 * occ;
+  return QualityOf(config, TermsOf(content));
+}
 
-  // The EV result quality is mainly affected by object occlusions (§2.2).
-  double det_penalty = std::min(
-      1.0, std::pow((det - 1.0) / 9.0, 0.7) * (0.05 + 1.10 * std::pow(occ, 1.1)));
-  double model_penalty = kYoloSizePenalty[size] * (0.15 + 0.85 * difficulty);
-  double q = (1.0 - det_penalty) * (1.0 - model_penalty);
-  return std::clamp(q, 0.0, 1.0);
+void EvCountingWorkload::TrueQualities(
+    const std::vector<core::KnobConfig>& configs,
+    const video::ContentState& content, std::vector<double>* out) const {
+  ContentTerms terms = TermsOf(content);
+  out->resize(configs.size());
+  for (size_t k = 0; k < configs.size(); ++k) {
+    (*out)[k] = QualityOf(configs[k], terms);
+  }
 }
 
 dag::TaskGraph EvCountingWorkload::BuildTaskGraph(

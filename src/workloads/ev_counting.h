@@ -1,6 +1,8 @@
 #ifndef SKYSCRAPER_WORKLOADS_EV_COUNTING_H_
 #define SKYSCRAPER_WORKLOADS_EV_COUNTING_H_
 
+#include <vector>
+
 #include "core/workload.h"
 #include "video/content_process.h"
 
@@ -26,6 +28,9 @@ class EvCountingWorkload : public core::Workload {
       const core::KnobConfig& config) const override;
   double TrueQuality(const core::KnobConfig& config,
                      const video::ContentState& content) const override;
+  void TrueQualities(const std::vector<core::KnobConfig>& configs,
+                     const video::ContentState& content,
+                     std::vector<double>* out) const override;
   dag::TaskGraph BuildTaskGraph(const core::KnobConfig& config,
                                 double segment_seconds,
                                 const sim::CostModel& cost_model) const override;
@@ -34,8 +39,23 @@ class EvCountingWorkload : public core::Workload {
   }
 
  private:
+  /// The content-only factors of the response surface, computed once per
+  /// content state.
+  struct ContentTerms {
+    double det_scale = 0.0;    ///< 0.05 + 1.10 * occlusion^1.1
+    double model_scale = 0.0;  ///< 0.15 + 0.85 * difficulty
+  };
+  static ContentTerms TermsOf(const video::ContentState& content);
+  /// The one copy of the response surface: quality of `config` given the
+  /// content terms. TrueQuality and TrueQualities both go through it.
+  double QualityOf(const core::KnobConfig& config,
+                   const ContentTerms& terms) const;
+
   core::KnobSpace space_;
   video::DiurnalContentProcess content_;
+  /// Knob-only factors, one entry per value index of the knob.
+  std::vector<double> det_term_;    ///< ((det - 1)/9)^0.7
+  std::vector<double> model_term_;  ///< per-YOLO-size penalty scale
 };
 
 }  // namespace sky::workloads

@@ -31,6 +31,16 @@ MotWorkload::MotWorkload(uint64_t seed) : content_(MotContentOptions(seed)) {
   (void)space_.AddKnob("tiles", {1, 4});
   (void)space_.AddKnob("history", {1, 2, 3, 5});
   (void)space_.AddKnob("model_size", {0, 1, 2});
+  for (double interval : space_.knob(0).values) {
+    interval_term_.push_back(std::pow((interval - 1.0) / 59.0, 0.7));
+  }
+  for (double tiles : space_.knob(1).values) tiled_.push_back(tiles >= 4.0);
+  for (double history : space_.knob(2).values) {
+    history_term_.push_back(0.15 / history);
+  }
+  for (double model : space_.knob(3).values) {
+    model_term_.push_back(kTransMotModelPenalty[static_cast<size_t>(model)]);
+  }
 }
 
 double MotWorkload::CostCoreSecondsPerVideoSecond(
@@ -48,32 +58,48 @@ double MotWorkload::CostCoreSecondsPerVideoSecond(
          fps_eff * tile_factor * kTransMotModelCost[model] * history_factor;
 }
 
-double MotWorkload::TrueQuality(const core::KnobConfig& config,
-                                const video::ContentState& content) const {
-  double interval = space_.Value(config, 0);
-  double tiles = space_.Value(config, 1);
-  double history = space_.Value(config, 2);
-  size_t model = static_cast<size_t>(space_.Value(config, 3));
+MotWorkload::ContentTerms MotWorkload::TermsOf(
+    const video::ContentState& content) {
   double rho = content.density;
   double occ = content.occlusion;
   double difficulty = 0.5 * rho + 0.5 * occ;
+  ContentTerms terms;
+  terms.interval_scale = 0.03 + 1.15 * std::pow(occ, 1.1);
+  terms.untiled_penalty = std::min(1.0, 0.02 + 0.50 * std::pow(rho, 1.2));
+  terms.model_scale = 0.20 + 0.80 * difficulty;
+  terms.history_scale = 0.10 + 0.90 * occ;
+  return terms;
+}
 
+double MotWorkload::QualityOf(const core::KnobConfig& config,
+                              const ContentTerms& terms) const {
   // Long gaps between processed frames break identity association,
   // especially under occlusion.
-  double interval_penalty = std::min(
-      1.0,
-      std::pow((interval - 1.0) / 59.0, 0.7) * (0.03 + 1.15 * std::pow(occ, 1.1)));
-  double tile_penalty =
-      tiles >= 4.0 ? 0.0
-                   : std::min(1.0, 0.02 + 0.50 * std::pow(rho, 1.2));
-  double model_penalty =
-      kTransMotModelPenalty[model] * (0.20 + 0.80 * difficulty);
+  double interval_penalty =
+      std::min(1.0, interval_term_[config[0]] * terms.interval_scale);
+  double tile_penalty = tiled_[config[1]] ? 0.0 : terms.untiled_penalty;
+  double model_penalty = model_term_[config[3]] * terms.model_scale;
   // Short history hurts re-identification through occlusions.
-  double history_penalty = (0.15 / history) * (0.10 + 0.90 * occ);
+  double history_penalty = history_term_[config[2]] * terms.history_scale;
 
   double q = (1.0 - interval_penalty) * (1.0 - tile_penalty) *
              (1.0 - model_penalty) * (1.0 - history_penalty);
   return std::clamp(q, 0.0, 1.0);
+}
+
+double MotWorkload::TrueQuality(const core::KnobConfig& config,
+                                const video::ContentState& content) const {
+  return QualityOf(config, TermsOf(content));
+}
+
+void MotWorkload::TrueQualities(const std::vector<core::KnobConfig>& configs,
+                                const video::ContentState& content,
+                                std::vector<double>* out) const {
+  ContentTerms terms = TermsOf(content);
+  out->resize(configs.size());
+  for (size_t k = 0; k < configs.size(); ++k) {
+    (*out)[k] = QualityOf(configs[k], terms);
+  }
 }
 
 dag::TaskGraph MotWorkload::BuildTaskGraph(

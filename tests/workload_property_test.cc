@@ -1,13 +1,19 @@
 // Parameterized property sweeps over all four paper workloads: monotone
 // quality responses, Pareto structure of the knob space, and end-to-end
-// engine invariants per workload.
+// engine invariants per workload. Plus, over every registry workload: the
+// batched ground truth equals the per-configuration one bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "api/workload_registry.h"
 #include "core/engine.h"
 #include "core/offline.h"
+#include "util/rng.h"
 #include "workloads/covid.h"
 #include "workloads/ev_counting.h"
 #include "workloads/mosei.h"
@@ -129,6 +135,65 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSweep,
                          ::testing::Values(Kind::kCovid, Kind::kMot,
                                            Kind::kMoseiHigh, Kind::kMoseiLong,
                                            Kind::kEv));
+
+class RegistryWorkload : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RegistryWorkload, TrueQualitiesEqualsPerConfigTrueQualityBitwise) {
+  std::unique_ptr<core::Workload> w = api::MakeWorkloadByName(GetParam());
+  ASSERT_NE(w, nullptr);
+  const std::vector<core::KnobConfig> configs = w->knob_space().AllConfigs();
+
+  // Edge states (density and occlusion at 0 and 1, where the pow terms and
+  // the clamps sit on their bounds), then random states.
+  std::vector<video::ContentState> states;
+  for (double density : {0.0, 1.0}) {
+    for (double occlusion : {0.0, 1.0}) {
+      video::ContentState s;
+      s.density = density;
+      s.occlusion = occlusion;
+      s.difficulty = density;
+      s.lighting = 1.0 - occlusion;
+      s.stream_count = 1.0 + 59.0 * occlusion;
+      states.push_back(s);
+    }
+  }
+  Rng rng(1234);
+  for (int i = 0; i < 200; ++i) {
+    video::ContentState s;
+    s.density = rng.Uniform(0.0, 1.0);
+    s.occlusion = rng.Uniform(0.0, 1.0);
+    s.lighting = rng.Uniform(0.0, 1.0);
+    s.difficulty = rng.Uniform(0.0, 1.0);
+    s.stream_count = rng.Uniform(1.0, 60.0);
+    states.push_back(s);
+  }
+
+  // The output starts longer than the configuration list and full of stale
+  // values; the call must leave exactly one fresh value per configuration.
+  std::vector<double> batch(configs.size() + 7, -3.0);
+  for (const video::ContentState& s : states) {
+    w->TrueQualities(configs, s, &batch);
+    ASSERT_EQ(batch.size(), configs.size());
+    for (size_t k = 0; k < configs.size(); ++k) {
+      double scalar = w->TrueQuality(configs[k], s);
+      EXPECT_EQ(std::memcmp(&batch[k], &scalar, sizeof(double)), 0)
+          << GetParam() << " " << w->knob_space().ToString(configs[k])
+          << " density=" << s.density << " occlusion=" << s.occlusion
+          << ": batch " << batch[k] << " vs scalar " << scalar;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRegistryNames, RegistryWorkload,
+    ::testing::ValuesIn(api::KnownWorkloadNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace sky
