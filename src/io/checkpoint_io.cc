@@ -1,7 +1,6 @@
 #include "io/checkpoint_io.h"
 
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -26,12 +25,11 @@ using wire::PutU64Vec;
 using wire::PutU8;
 using wire::TagIs;
 
-constexpr char kMagic[8] = {'S', 'K', 'Y', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kEndianMarker = 0x01020304u;
+constexpr wire::ContainerFormat kFormat = {
+    "SKYCKPT1", kCheckpointFormatVersion, "checkpoint file"};
 
 constexpr char kChunkMeta[4] = {'M', 'E', 'T', 'A'};
 constexpr char kChunkStream[4] = {'S', 'T', 'R', 'M'};
-constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 
 }  // namespace
 
@@ -297,147 +295,68 @@ Result<core::IngestState> DeserializeIngestState(
 }
 
 Status SerializeFleetCheckpoint(const FleetCheckpoint& ckpt,
-                                std::string* out_bytes) {
-  std::string& out = *out_bytes;
-  out.clear();
-  PutRaw(&out, kMagic, sizeof(kMagic));
-  PutU32(&out, kCheckpointFormatVersion);
-  PutU32(&out, kEndianMarker);
-
+                                std::string* out) {
+  wire::BeginContainer(kFormat, out);
   {
     std::string p;
     PutU64(&p, ckpt.streams.size());
-    PutChunk(&out, kChunkMeta, p);
+    PutChunk(out, kChunkMeta, p);
   }
   for (size_t v = 0; v < ckpt.streams.size(); ++v) {
     const StreamCheckpoint& sc = ckpt.streams[v];
     std::string p;
     PutU64(&p, v);
-    PutU32(&p, static_cast<uint32_t>(sc.status.code()));
-    PutString(&p, sc.status.ok() ? std::string() : sc.status.message());
+    wire::PutStatus(&p, sc.status);
     PutU8(&p, sc.has_state ? 1 : 0);
     PutString(&p, sc.state);
-    PutChunk(&out, kChunkStream, p);
+    PutChunk(out, kChunkStream, p);
   }
-
-  std::string checksum;
-  PutU64(&checksum, Fnv1a64(out.data(), out.size()));
-  PutChunk(&out, kChunkChecksum, checksum);
+  wire::EndContainer(out);
   return Status::Ok();
 }
 
 Result<FleetCheckpoint> ParseFleetCheckpoint(const std::string& bytes) {
-  Cursor header(bytes.data(), bytes.size());
-  char magic[8];
-  SKY_RETURN_NOT_OK(header.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
-        "not a Skyscraper checkpoint file (bad magic)");
-  }
-  uint32_t version = 0, endian = 0;
-  SKY_RETURN_NOT_OK(header.ReadU32(&version));
-  if (version != kCheckpointFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint format version " + std::to_string(version));
-  }
-  SKY_RETURN_NOT_OK(header.ReadU32(&endian));
-  if (endian != kEndianMarker) {
-    return Status::InvalidArgument(
-        "checkpoint file written with different byte order");
-  }
-
-  // Pass 1: verify the checksum trailer before parsing anything.
-  Cursor walk(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(walk.Skip(16));
-  bool checksum_seen = false;
-  while (walk.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(walk.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(walk.ReadU64(&size));
-    if (TagIs(tag, kChunkChecksum)) {
-      if (size != sizeof(uint64_t) || walk.remaining() != size) {
-        return Status::InvalidArgument("malformed checkpoint checksum trailer");
-      }
-      size_t covered = walk.pos() - 12;
-      uint64_t stored = 0;
-      SKY_RETURN_NOT_OK(walk.ReadU64(&stored));
-      if (stored != Fnv1a64(bytes.data(), covered)) {
-        return Status::InvalidArgument(
-            "checkpoint file checksum mismatch (corrupted)");
-      }
-      checksum_seen = true;
-      break;
-    }
-    SKY_RETURN_NOT_OK(walk.Skip(size));
-  }
-  if (!checksum_seen) {
-    return Status::InvalidArgument("checkpoint file missing checksum trailer");
-  }
-
-  // Pass 2: parse the stream entries.
   FleetCheckpoint ckpt;
   bool seen_meta = false;
   uint64_t declared_streams = 0;
-  Cursor c(bytes.data(), bytes.size());
-  SKY_RETURN_NOT_OK(c.Skip(16));
-  while (c.remaining() > 0) {
-    char tag[4];
-    SKY_RETURN_NOT_OK(c.Read(tag, 4));
-    uint64_t size = 0;
-    SKY_RETURN_NOT_OK(c.ReadU64(&size));
-    if (size > c.remaining()) {
-      return Status::InvalidArgument("checkpoint file truncated mid-chunk");
-    }
-    Cursor payload(bytes.data() + c.pos(), size);
-    if (TagIs(tag, kChunkChecksum)) break;
-
-    if (TagIs(tag, kChunkMeta)) {
-      if (seen_meta) {
-        return Status::InvalidArgument("duplicate META chunk in checkpoint");
-      }
-      seen_meta = true;
-      SKY_RETURN_NOT_OK(payload.ReadU64(&declared_streams));
-      // Each stream needs its own chunk later in the file; a count the file
-      // could not possibly hold is corruption, not a big fleet.
-      if (declared_streams > bytes.size()) {
-        return Status::InvalidArgument(
-            "checkpoint declares impossible stream count");
-      }
-      ckpt.streams.reserve(declared_streams);
-    } else if (TagIs(tag, kChunkStream)) {
-      if (!seen_meta) {
-        return Status::InvalidArgument(
-            "checkpoint stream chunk before META");
-      }
-      uint64_t index = 0;
-      SKY_RETURN_NOT_OK(payload.ReadU64(&index));
-      if (index != ckpt.streams.size() || index >= declared_streams) {
-        return Status::InvalidArgument(
-            "checkpoint stream chunks out of order");
-      }
-      StreamCheckpoint sc;
-      uint32_t code = 0;
-      SKY_RETURN_NOT_OK(payload.ReadU32(&code));
-      if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
-        return Status::InvalidArgument("invalid status code in checkpoint");
-      }
-      std::string message;
-      SKY_RETURN_NOT_OK(payload.ReadString(&message));
-      sc.status = code == 0 ? Status::Ok()
-                            : Status(static_cast<StatusCode>(code),
-                                     std::move(message));
-      SKY_RETURN_NOT_OK(payload.ReadBool(&sc.has_state));
-      SKY_RETURN_NOT_OK(payload.ReadString(&sc.state));
-      ckpt.streams.push_back(std::move(sc));
-    } else {
-      return Status::InvalidArgument("unknown chunk tag in checkpoint file");
-    }
-    if (payload.remaining() != 0) {
-      return Status::InvalidArgument("checkpoint chunk has trailing bytes");
-    }
-    SKY_RETURN_NOT_OK(c.Skip(size));
-  }
+  SKY_RETURN_NOT_OK(wire::ReadContainer(
+      bytes, kFormat, [&](const char* tag, Cursor* payload) {
+        if (TagIs(tag, kChunkMeta)) {
+          if (seen_meta) {
+            return Status::InvalidArgument(
+                "duplicate META chunk in checkpoint");
+          }
+          seen_meta = true;
+          SKY_RETURN_NOT_OK(payload->ReadU64(&declared_streams));
+          // Each stream needs its own chunk later in the file; a count the
+          // file could not possibly hold is corruption, not a big fleet.
+          if (declared_streams > bytes.size()) {
+            return Status::InvalidArgument(
+                "checkpoint declares impossible stream count");
+          }
+          ckpt.streams.reserve(declared_streams);
+          return Status::Ok();
+        }
+        if (!TagIs(tag, kChunkStream)) {
+          return Status::InvalidArgument(
+              "unknown chunk tag in checkpoint file");
+        }
+        if (!seen_meta) {
+          return Status::InvalidArgument("checkpoint stream chunk before META");
+        }
+        uint64_t index = 0;
+        SKY_RETURN_NOT_OK(payload->ReadU64(&index));
+        if (index != ckpt.streams.size() || index >= declared_streams) {
+          return Status::InvalidArgument(
+              "checkpoint stream chunks out of order");
+        }
+        StreamCheckpoint sc;
+        SKY_RETURN_NOT_OK(wire::ReadStatus(payload, &sc.status));
+        SKY_RETURN_NOT_OK(payload->ReadBool(&sc.has_state));
+        SKY_RETURN_NOT_OK(payload->ReadString(&sc.state));
+        ckpt.streams.push_back(std::move(sc));
+        return Status::Ok();
+      }));
   if (!seen_meta) {
     return Status::InvalidArgument("checkpoint file is missing META chunk");
   }
@@ -456,15 +375,8 @@ Status SaveFleetCheckpoint(const FleetCheckpoint& ckpt,
 }
 
 Result<FleetCheckpoint> LoadFleetCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint file " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading checkpoint file " + path);
-  }
+  SKY_ASSIGN_OR_RETURN(std::string bytes,
+                       wire::ReadFile(path, "checkpoint file"));
   return ParseFleetCheckpoint(bytes);
 }
 

@@ -1,6 +1,8 @@
 #include "io/wire.h"
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "ml/nn.h"
@@ -156,6 +158,134 @@ Status Cursor::ReadString(std::string* s) {
   SKY_RETURN_NOT_OK(ReadCount(1, &n));
   s->resize(n);
   if (n > 0) return Read(&(*s)[0], n);
+  return Status::Ok();
+}
+
+namespace {
+
+/// Written as a native u32; a reader on a machine with different endianness
+/// sees a scrambled value and rejects the container instead of mis-parsing.
+constexpr uint32_t kEndianMarker = 0x01020304u;
+constexpr size_t kHeaderBytes = 16;
+constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
+
+}  // namespace
+
+void BeginContainer(const ContainerFormat& format, std::string* out) {
+  out->clear();
+  PutRaw(out, format.magic, 8);
+  PutU32(out, format.version);
+  PutU32(out, kEndianMarker);
+}
+
+void EndContainer(std::string* out) {
+  uint64_t checksum = Fnv1a64(out->data(), out->size());
+  PutRaw(out, kChunkChecksum, 4);
+  PutU64(out, sizeof(checksum));
+  PutU64(out, checksum);
+}
+
+Status ReadContainer(const std::string& bytes, const ContainerFormat& format,
+                     const ChunkFn& chunk_fn) {
+  const std::string what = format.what;
+  Cursor header(bytes.data(), bytes.size());
+  char magic[8];
+  SKY_RETURN_NOT_OK(header.Read(magic, sizeof(magic)));
+  if (std::memcmp(magic, format.magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument("not a Skyscraper " + what +
+                                   " (bad magic)");
+  }
+  uint32_t version = 0, endian = 0;
+  SKY_RETURN_NOT_OK(header.ReadU32(&version));
+  if (version != format.version) {
+    return Status::InvalidArgument(
+        "unsupported " + what + " version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(format.version) + ")");
+  }
+  SKY_RETURN_NOT_OK(header.ReadU32(&endian));
+  if (endian != kEndianMarker) {
+    return Status::InvalidArgument(what + " written with different byte order");
+  }
+
+  // Pass 1: walk the chunk table to the CSUM trailer and verify it covers
+  // exactly the bytes before it. Nothing is parsed until the container is
+  // known to be intact end to end.
+  Cursor walk(bytes.data(), bytes.size());
+  SKY_RETURN_NOT_OK(walk.Skip(kHeaderBytes));
+  size_t body_end = 0;
+  while (body_end == 0) {
+    if (walk.remaining() == 0) {
+      return Status::InvalidArgument(what + " missing checksum trailer");
+    }
+    char tag[4];
+    uint64_t size = 0;
+    SKY_RETURN_NOT_OK(walk.Read(tag, 4));
+    SKY_RETURN_NOT_OK(walk.ReadU64(&size));
+    if (!TagIs(tag, kChunkChecksum)) {
+      SKY_RETURN_NOT_OK(walk.Skip(size));
+      continue;
+    }
+    uint64_t stored = 0;
+    if (size != sizeof(stored) || walk.remaining() != size) {
+      return Status::InvalidArgument("malformed " + what +
+                                     " checksum trailer");
+    }
+    body_end = walk.pos() - 12;  // bytes before the CSUM chunk
+    SKY_RETURN_NOT_OK(walk.ReadU64(&stored));
+    if (stored != Fnv1a64(bytes.data(), body_end)) {
+      return Status::InvalidArgument(what + " checksum mismatch (corrupted)");
+    }
+  }
+
+  // Pass 2: hand every chunk before the trailer to the format. Pass 1 has
+  // shown that the chunks tile [header, body_end) exactly.
+  Cursor c(bytes.data(), body_end);
+  SKY_RETURN_NOT_OK(c.Skip(kHeaderBytes));
+  while (c.remaining() > 0) {
+    char tag[4];
+    uint64_t size = 0;
+    SKY_RETURN_NOT_OK(c.Read(tag, 4));
+    SKY_RETURN_NOT_OK(c.ReadU64(&size));
+    Cursor payload(bytes.data() + c.pos(), size);
+    SKY_RETURN_NOT_OK(c.Skip(size));
+    SKY_RETURN_NOT_OK(chunk_fn(tag, &payload));
+    if (payload.remaining() != 0) {
+      return Status::InvalidArgument(what + " chunk has trailing bytes");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<std::string> ReadFile(const std::string& path,
+                             const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound("cannot open " + what + " " + path);
+  }
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  if (!in.good() && !in.eof()) {
+    return Status::Internal("error reading " + what + " " + path);
+  }
+  return bytes;
+}
+
+void PutStatus(std::string* out, const Status& status) {
+  PutU32(out, static_cast<uint32_t>(status.code()));
+  PutString(out, status.message());
+}
+
+Status ReadStatus(Cursor* c, Status* status) {
+  uint32_t code = 0;
+  std::string message;
+  SKY_RETURN_NOT_OK(c->ReadU32(&code));
+  if (code > static_cast<uint32_t>(StatusCode::kInternal)) {
+    return Status::InvalidArgument("invalid status code in serialized data");
+  }
+  SKY_RETURN_NOT_OK(c->ReadString(&message));
+  *status = code == 0 ? Status::Ok()
+                      : Status(static_cast<StatusCode>(code),
+                               std::move(message));
   return Status::Ok();
 }
 

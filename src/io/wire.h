@@ -2,6 +2,7 @@
 #define SKYSCRAPER_IO_WIRE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,11 +13,13 @@
 
 namespace sky::io::wire {
 
-/// Shared primitives of every Skyscraper on-disk format (models and fleet
-/// checkpoints): raw little writers, the bounds-checked Cursor reader, the
-/// FNV-1a integrity hash, tagged chunks, and the forecaster payload. The
-/// byte layout conventions live in docs/model_format.md; each file format
-/// keeps its own magic, version, and chunk tags on top of these.
+/// Shared primitives of every Skyscraper on-disk format (models, fleet
+/// checkpoints, serve checkpoints): raw little writers, the bounds-checked
+/// Cursor reader, the FNV-1a integrity hash, the checksummed chunk
+/// container, the Status codec, and the forecaster payload. The byte layout
+/// lives in docs/model_format.md ("Shared container"); each file format
+/// keeps only its own magic, version, chunk tags and chunk bodies on top of
+/// these.
 
 /// FNV-1a 64-bit over a byte range — cheap, dependency-free integrity check
 /// (this guards against truncation and bit rot, not adversaries).
@@ -84,6 +87,47 @@ class Cursor {
   size_t pos_ = 0;
   size_t end_;
 };
+
+// --- Chunked container -----------------------------------------------------
+
+/// Identity of one container format: an 8-byte magic, the only version this
+/// build reads and writes, and a noun for error messages ("model file").
+struct ContainerFormat {
+  const char* magic;
+  uint32_t version;
+  const char* what;
+};
+
+/// Clears `out` and writes the 16-byte header: magic, version, and the
+/// native-endian marker a reader of the other byte order rejects.
+void BeginContainer(const ContainerFormat& format, std::string* out);
+
+/// Appends the trailing CSUM chunk: FNV-1a-64 over every byte of `out`.
+void EndContainer(std::string* out);
+
+/// Receives one chunk's tag and a cursor over exactly its payload.
+using ChunkFn = std::function<Status(const char* tag, Cursor* payload)>;
+
+/// Checks the header against `format`, then verifies the CSUM trailer over
+/// the whole container before any chunk is parsed, then hands every chunk
+/// in file order to `chunk_fn`. A payload the callback leaves unconsumed is
+/// refused, as is a CSUM that is not the last chunk or a chunk running past
+/// the end. Every failure is kInvalidArgument; the callback owns unknown
+/// tags and its format's duplicate, required and ordering rules.
+Status ReadContainer(const std::string& bytes, const ContainerFormat& format,
+                     const ChunkFn& chunk_fn);
+
+/// Reads a whole file. kNotFound if it cannot be opened, kInternal on a
+/// read error; `what` names the file in the message.
+Result<std::string> ReadFile(const std::string& path, const std::string& what);
+
+// --- Status codec ----------------------------------------------------------
+
+/// Appends a Status as u32 code + message string (empty when OK).
+void PutStatus(std::string* out, const Status& status);
+
+/// Parses a PutStatus payload; an unknown code is kInvalidArgument.
+Status ReadStatus(Cursor* c, Status* status);
 
 // --- Forecaster payload ----------------------------------------------------
 

@@ -4,6 +4,7 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "io/checkpoint_io.h"
@@ -18,9 +19,11 @@ using io::wire::PutBool;
 using io::wire::PutF64;
 using io::wire::PutRaw;
 using io::wire::PutString;
-using io::wire::PutU32;
 using io::wire::PutU64;
 using io::wire::PutU8;
+
+/// First payload read of ReadFrame; later reads at most double the buffer.
+constexpr size_t kFrameReadStep = 64 << 10;
 
 bool ValidFrameType(uint8_t t) {
   return (t >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -125,9 +128,17 @@ Status ReadFrame(int fd, Frame* out) {
     return Status::InvalidArgument("frame length exceeds protocol maximum");
   }
   out->type = static_cast<FrameType>(type);
-  out->payload.resize(length);
-  if (length > 0) {
-    SKY_RETURN_NOT_OK(ReadExact(fd, out->payload.data(), length, nullptr));
+  // The declared length is untrusted until the bytes arrive: grow the
+  // buffer by at most what has already been received (first step
+  // kFrameReadStep), so a bare header cannot make the reader allocate the
+  // full declared length. A frame within one step takes a single read.
+  out->payload.clear();
+  while (out->payload.size() < length) {
+    size_t got = out->payload.size();
+    size_t step = static_cast<size_t>(
+        std::min<uint64_t>(length - got, std::max(kFrameReadStep, got)));
+    out->payload.resize(got + step);
+    SKY_RETURN_NOT_OK(ReadExact(fd, &out->payload[got], step, nullptr));
   }
   char trailer[8];
   SKY_RETURN_NOT_OK(ReadExact(fd, trailer, sizeof(trailer), nullptr));
@@ -194,20 +205,16 @@ Status ParseReconfigure(Cursor* c, uint64_t* session_id,
 }
 
 void AppendError(const Status& status, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(status.code()));
-  PutString(out, status.message());
+  io::wire::PutStatus(out, status);
 }
 
 Status ParseError(const Frame& frame) {
   Cursor c(frame.payload.data(), frame.payload.size());
-  uint32_t code = 0;
-  std::string message;
-  SKY_RETURN_NOT_OK(c.ReadU32(&code));
-  SKY_RETURN_NOT_OK(c.ReadString(&message));
-  if (code == 0 || code > static_cast<uint32_t>(StatusCode::kInternal)) {
+  Status status;
+  if (!io::wire::ReadStatus(&c, &status).ok() || status.ok()) {
     return Status::InvalidArgument("malformed error frame");
   }
-  return Status(static_cast<StatusCode>(code), std::move(message));
+  return status;
 }
 
 uint64_t ResultFingerprint(const core::EngineResult& r) {

@@ -71,7 +71,7 @@ void EncodeFrame(FrameType type, const std::string& payload,
 
 /// Blocking frame I/O on a connected socket. WriteFrame retries short
 /// writes; ReadFrame validates magic, type, length bound and checksum
-/// before returning. A connection closed cleanly BEFORE any frame byte is
+/// before returning, and grows the payload buffer only as bytes arrive. A connection closed cleanly BEFORE any frame byte is
 /// kNotFound (the peer simply hung up); mid-frame EOF, a bad magic or a
 /// failed checksum are kInvalidArgument; socket errors are kInternal.
 Status WriteFrame(int fd, FrameType type, const std::string& payload);

@@ -28,7 +28,8 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Poisson with the given mean.
+  /// Poisson with the given mean. A mean <= 0 yields 0 and consumes one
+  /// draw, as libstdc++'s sampler does there.
   int64_t Poisson(double mean);
 
   /// Bernoulli trial.

@@ -28,7 +28,10 @@ namespace {
 /// divergence a tolerance would mask.
 bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  // memcmp's pointers must be valid even for zero bytes; an empty vector's
+  // data() may be null.
+  return a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 std::vector<double> RandomVec(size_t n, Rng* rng) {

@@ -10,9 +10,11 @@
 //     which also gates that the forecaster's Adam optimizer state survives
 //     the round trip (online fine-tuning at plan boundaries would diverge
 //     otherwise);
-//  3. corrupted / truncated / wrong-version / wrong-magic files fail with
-//     an error Status — no crashes, and a failed facade LoadModel leaves
-//     the previous model untouched;
+//  3. corrupted / truncated / wrong-version / wrong-magic / crafted files
+//     fail with kInvalidArgument — no crashes — in all three formats that
+//     share the io/wire container (model, fleet checkpoint, serve
+//     checkpoint), and a failed facade LoadModel leaves the previous model
+//     untouched; fixed fleet and serve checkpoints keep pinned bytes;
 //  4. facade precondition paths: SaveModel without a model, LoadModel as a
 //     full substitute for Fit().
 
@@ -20,17 +22,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "api/skyscraper.h"
 #include "core/engine.h"
-#include "io/atomic_file.h"
 #include "core/offline.h"
+#include "io/atomic_file.h"
+#include "io/checkpoint_io.h"
+#include "serve/registry.h"
 #include "workloads/ev_counting.h"
 
 namespace sky::io {
@@ -129,51 +137,12 @@ TEST(ModelIoTest, LoadedModelIngestsBitwiseEqually) {
   EXPECT_GT(memory_run->segments, 0u);
 }
 
-TEST(ModelIoTest, RejectsWrongMagic) {
-  std::string bytes = Serialized();
-  bytes[0] = 'X';
-  auto loaded = DeserializeOfflineModel(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ModelIoTest, RejectsWrongVersion) {
-  std::string bytes = Serialized();
-  bytes[8] = static_cast<char>(kModelFormatVersion + 1);  // u32 version LSB
-  auto loaded = DeserializeOfflineModel(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
-}
-
-TEST(ModelIoTest, RejectsFlippedByteAnywhere) {
-  std::string pristine = Serialized();
-  // A corrupted byte anywhere in the payload must trip the checksum (or an
-  // earlier structural check) — sample positions across the whole file.
-  for (size_t pos = 16; pos < pristine.size(); pos += pristine.size() / 37) {
-    std::string bytes = pristine;
-    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x5a);
-    auto loaded = DeserializeOfflineModel(bytes);
-    EXPECT_FALSE(loaded.ok()) << "flip at " << pos << " was not detected";
-  }
-}
-
-TEST(ModelIoTest, RejectsTruncationAtEveryBoundary) {
-  std::string pristine = Serialized();
-  // Every strict prefix is invalid (the checksum trailer is missing or the
-  // chunk table is cut short). Sample a spread of truncation points plus
-  // the pathological tiny ones.
-  for (size_t keep : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{15},
-                      size_t{16}, size_t{17}, pristine.size() / 3,
-                      pristine.size() / 2, pristine.size() - 9,
-                      pristine.size() - 1}) {
-    std::string bytes = pristine.substr(0, keep);
-    auto loaded = DeserializeOfflineModel(bytes);
-    EXPECT_FALSE(loaded.ok()) << "truncation to " << keep << " accepted";
-  }
-}
-
-// --- Crafted-file tests: structurally valid (checksummed) but hostile ------
+// --- Hostile bytes, for every container format -----------------------------
+//
+// The model file, the fleet checkpoint and the serve checkpoint share one
+// checksummed chunk container (io/wire). Every case below runs against all
+// three decoders; the crafted inputs carry a valid CSUM trailer, so the
+// structural checks themselves must refuse them.
 
 /// FNV-1a-64, re-implemented so tests can forge files with valid trailers.
 uint64_t TestFnv(const std::string& s, size_t n) {
@@ -201,31 +170,252 @@ size_t FindChunk(const std::string& bytes, const char* tag, uint64_t* size) {
   return std::string::npos;
 }
 
+/// One encoded chunk: tag, u64 payload size, payload.
+std::string Chunk(const char* tag, const std::string& payload) {
+  std::string out(tag, 4);
+  uint64_t size = payload.size();
+  out.append(reinterpret_cast<const char*>(&size), 8);
+  return out + payload;
+}
+
+/// A CSUM chunk over the whole of `body`.
+std::string ChecksumChunk(const std::string& body) {
+  uint64_t checksum = TestFnv(body, body.size());
+  return Chunk("CSUM",
+               std::string(reinterpret_cast<const char*>(&checksum), 8));
+}
+
 /// Replaces the trailing CSUM chunk with one matching the (tampered) body.
 std::string WithRebuiltChecksum(std::string bytes) {
   uint64_t csum_size = 0;
   size_t csum_at = FindChunk(bytes, "CSUM", &csum_size);
   EXPECT_NE(csum_at, std::string::npos);
   bytes.resize(csum_at);
-  uint64_t checksum = TestFnv(bytes, bytes.size());
-  bytes.append("CSUM", 4);
-  uint64_t payload_size = 8;
-  bytes.append(reinterpret_cast<const char*>(&payload_size), 8);
-  bytes.append(reinterpret_cast<const char*>(&checksum), 8);
-  return bytes;
+  return bytes + ChecksumChunk(bytes);
 }
 
-TEST(ModelIoTest, RejectsDuplicateChunkEvenWithValidChecksum) {
-  std::string bytes = Serialized();
-  uint64_t rtim_size = 0;
-  size_t rtim_at = FindChunk(bytes, "RTIM", &rtim_size);
-  ASSERT_NE(rtim_at, std::string::npos);
-  std::string rtim_chunk = bytes.substr(rtim_at, 12 + rtim_size);
-  bytes.insert(rtim_at, rtim_chunk);
-  bytes = WithRebuiltChecksum(std::move(bytes));
-  auto loaded = DeserializeOfflineModel(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("duplicate"), std::string::npos);
+/// A fixed fleet checkpoint: one healthy stream with (opaque) engine state,
+/// one quarantined stream without.
+FleetCheckpoint LiteralFleet() {
+  FleetCheckpoint ckpt;
+  StreamCheckpoint healthy;
+  healthy.has_state = true;
+  healthy.state = "opaque engine state";
+  ckpt.streams.push_back(healthy);
+  StreamCheckpoint quarantined;
+  quarantined.status = Status::Internal("stream quarantined");
+  ckpt.streams.push_back(quarantined);
+  return ckpt;
+}
+
+/// A fixed serve checkpoint: a running, a failed and a finished session,
+/// with LiteralFleet embedded.
+serve::ServeCheckpoint LiteralServe() {
+  serve::ServeCheckpoint ckpt;
+  ckpt.next_session_id = 4;
+  ckpt.sessions_accepted = 3;
+  ckpt.sessions_rejected = 1;
+  ckpt.shared_budget_core_s_per_video_s = 2.5;
+  serve::SessionRecord running;
+  running.id = 1;
+  running.spec.content_seed = 7;
+  running.stream_index = 0;
+  ckpt.sessions.push_back(running);
+  serve::SessionRecord failed;
+  failed.id = 2;
+  failed.state = serve::SessionState::kFailed;
+  failed.stream_index = 1;
+  failed.error = Status::ResourceExhausted("over budget");
+  ckpt.sessions.push_back(failed);
+  serve::SessionRecord done;
+  done.id = 3;
+  done.state = serve::SessionState::kDone;
+  done.stream_index = 2;
+  done.result.total_quality = 10.5;
+  done.result.mean_quality = 0.875;
+  done.result.segments = 12;
+  done.result.cloud_usd = 0.25;
+  core::TracePoint point;
+  point.t = 300.0;
+  point.quality = 0.75;
+  point.config_idx = 3;
+  point.category = 1;
+  done.result.trace.push_back(point);
+  ckpt.sessions.push_back(done);
+  EXPECT_TRUE(
+      SerializeFleetCheckpoint(LiteralFleet(), &ckpt.fleet_bytes).ok());
+  return ckpt;
+}
+
+struct ContainerCase {
+  const char* name;
+  std::function<std::string()> pristine;
+  std::function<Status(const std::string&)> decode;
+  /// A chunk the format allows once, whose payload has a fixed shape.
+  const char* once_tag;
+};
+
+void PrintTo(const ContainerCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<ContainerCase> ContainerCases() {
+  return {
+      {"model", [] { return Serialized(); },
+       [](const std::string& b) { return DeserializeOfflineModel(b).status(); },
+       "RTIM"},
+      {"fleet",
+       [] {
+         std::string b;
+         EXPECT_TRUE(SerializeFleetCheckpoint(LiteralFleet(), &b).ok());
+         return b;
+       },
+       [](const std::string& b) { return ParseFleetCheckpoint(b).status(); },
+       "META"},
+      {"serve",
+       [] {
+         std::string b;
+         EXPECT_TRUE(serve::SerializeServeCheckpoint(LiteralServe(), &b).ok());
+         return b;
+       },
+       [](const std::string& b) {
+         return serve::ParseServeCheckpoint(b).status();
+       },
+       "META"},
+  };
+}
+
+class ContainerDecodeTest : public ::testing::TestWithParam<ContainerCase> {
+ protected:
+  /// The decoder must refuse `bytes` with kInvalidArgument (and not crash);
+  /// `word`, when given, must appear in the message.
+  void ExpectRefused(const std::string& bytes, const std::string& what,
+                     const char* word = nullptr) {
+    Status st = GetParam().decode(bytes);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << what << ": " << st.ToString();
+    if (word != nullptr) {
+      EXPECT_NE(st.message().find(word), std::string::npos)
+          << what << ": " << st.ToString();
+    }
+  }
+};
+
+TEST_P(ContainerDecodeTest, PristineBytesDecode) {
+  Status st = GetParam().decode(GetParam().pristine());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST_P(ContainerDecodeTest, RejectsWrongMagic) {
+  std::string bytes = GetParam().pristine();
+  bytes[0] = 'X';
+  ExpectRefused(WithRebuiltChecksum(bytes), "bad magic");
+}
+
+TEST_P(ContainerDecodeTest, RejectsBadVersionOrEndianMarker) {
+  std::string bytes = GetParam().pristine();
+  bytes[8] = static_cast<char>(bytes[8] + 1);  // u32 version LSB
+  ExpectRefused(WithRebuiltChecksum(bytes), "version + 1", "version");
+
+  bytes = GetParam().pristine();
+  std::swap(bytes[12], bytes[15]);  // the marker a big-endian writer leaves
+  std::swap(bytes[13], bytes[14]);
+  ExpectRefused(WithRebuiltChecksum(bytes), "byte-swapped endian marker");
+}
+
+TEST_P(ContainerDecodeTest, RejectsFlippedByteAnywhere) {
+  std::string pristine = GetParam().pristine();
+  // A corrupted byte anywhere in the payload must trip the checksum (or an
+  // earlier structural check) — sample positions across the whole file.
+  size_t stride = std::max<size_t>(1, pristine.size() / 37);
+  for (size_t pos = 16; pos < pristine.size(); pos += stride) {
+    std::string bytes = pristine;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x5a);
+    ExpectRefused(bytes, "flip at " + std::to_string(pos));
+  }
+}
+
+TEST_P(ContainerDecodeTest, RejectsTruncationAtEveryBoundary) {
+  std::string pristine = GetParam().pristine();
+  // Every strict prefix is invalid (the checksum trailer is missing or the
+  // chunk table is cut short). Sample a spread of truncation points plus
+  // the pathological tiny ones.
+  for (size_t keep : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{15},
+                      size_t{16}, size_t{17}, pristine.size() / 3,
+                      pristine.size() / 2, pristine.size() - 9,
+                      pristine.size() - 1}) {
+    ExpectRefused(pristine.substr(0, keep),
+                  "truncation to " + std::to_string(keep));
+  }
+}
+
+TEST_P(ContainerDecodeTest, RejectsDuplicateChunkEvenWithValidChecksum) {
+  std::string bytes = GetParam().pristine();
+  uint64_t size = 0;
+  size_t at = FindChunk(bytes, GetParam().once_tag, &size);
+  ASSERT_NE(at, std::string::npos);
+  bytes.insert(at, bytes.substr(at, 12 + size));
+  ExpectRefused(WithRebuiltChecksum(bytes), "duplicate chunk", "duplicate");
+}
+
+TEST_P(ContainerDecodeTest, RejectsUnknownTag) {
+  std::string bytes = GetParam().pristine();
+  uint64_t size = 0;
+  size_t csum_at = FindChunk(bytes, "CSUM", &size);
+  ASSERT_NE(csum_at, std::string::npos);
+  bytes.insert(csum_at, Chunk("ZZZZ", ""));
+  ExpectRefused(WithRebuiltChecksum(bytes), "unknown tag");
+}
+
+TEST_P(ContainerDecodeTest, RejectsChunkWithTrailingBytes) {
+  std::string bytes = GetParam().pristine();
+  uint64_t size = 0;
+  size_t at = FindChunk(bytes, GetParam().once_tag, &size);
+  ASSERT_NE(at, std::string::npos);
+  std::string padded = bytes.substr(at + 12, size) + '\0';
+  bytes.replace(at, 12 + size, Chunk(GetParam().once_tag, padded));
+  ExpectRefused(WithRebuiltChecksum(bytes), "trailing byte");
+}
+
+TEST_P(ContainerDecodeTest, RejectsChunkSizePastEof) {
+  std::string bytes = GetParam().pristine();
+  uint64_t size = 0;
+  size_t csum_at = FindChunk(bytes, "CSUM", &size);
+  ASSERT_NE(csum_at, std::string::npos);
+  // A chunk declaring far more bytes than the file holds, followed by a
+  // CSUM that is correct for everything before it.
+  std::string body = bytes.substr(0, csum_at) + Chunk("ZZZZ", "");
+  uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(&body[body.size() - 8], &huge, 8);
+  ExpectRefused(body + ChecksumChunk(body), "size past EOF");
+}
+
+TEST_P(ContainerDecodeTest, RejectsChecksumChunkThatIsNotLast) {
+  std::string pristine = GetParam().pristine();
+  // A CSUM valid for the header alone, followed by the real chunks.
+  std::string header = pristine.substr(0, 16);
+  ExpectRefused(header + ChecksumChunk(header) + pristine.substr(16),
+                "early CSUM");
+  // A well-formed container with one more chunk after its trailer.
+  ExpectRefused(pristine + Chunk("ZZZZ", ""), "chunk after CSUM");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFormats, ContainerDecodeTest, ::testing::ValuesIn(ContainerCases()),
+    [](const ::testing::TestParamInfo<ContainerCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ContainerFormatTest, LiteralCheckpointsKeepTheirBytes) {
+  // Sizes and FNV-1a-64 digests of the fixed checkpoints, recorded when
+  // each format still had its own container code. A change here is a
+  // format change: bump the version (docs/model_format.md).
+  std::string fleet;
+  ASSERT_TRUE(SerializeFleetCheckpoint(LiteralFleet(), &fleet).ok());
+  EXPECT_EQ(fleet.size(), 175u);
+  EXPECT_EQ(TestFnv(fleet, fleet.size()), 0x9c67d55abf737723ull);
+  std::string served;
+  ASSERT_TRUE(serve::SerializeServeCheckpoint(LiteralServe(), &served).ok());
+  EXPECT_EQ(served.size(), 878u);
+  EXPECT_EQ(TestFnv(served, served.size()), 0x2ea2af7c260d5cfaull);
 }
 
 TEST(ModelIoTest, RejectsImpossibleCountsWithoutAllocating) {

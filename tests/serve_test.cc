@@ -197,6 +197,11 @@ TEST_F(ServeTest, ErrorPayloadCarriesTheStatus) {
   Status decoded = serve::ParseError(frame);
   EXPECT_EQ(decoded.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(decoded.ToString().find("fleet is full"), std::string::npos);
+
+  // An OK status is not an error: such a frame is malformed.
+  frame.payload.clear();
+  serve::AppendError(Status::Ok(), &frame.payload);
+  EXPECT_EQ(serve::ParseError(frame).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServeTest, FramesRoundTripOverASocketAndRefuseCorruption) {
@@ -226,6 +231,37 @@ TEST_F(ServeTest, FramesRoundTripOverASocketAndRefuseCorruption) {
   EXPECT_EQ(serve::ReadFrame(fds[1], &eof).code(), StatusCode::kNotFound);
 
   ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST_F(ServeTest, ReadFrameAllocatesOnlyAsPayloadArrives) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+
+  // A payload spanning several read steps still arrives whole.
+  std::string big(3 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 7);
+  std::thread writer([&] {
+    EXPECT_TRUE(serve::WriteFrame(fds[0], FrameType::kMetrics, big).ok());
+  });
+  Frame frame;
+  ASSERT_TRUE(serve::ReadFrame(fds[1], &frame).ok());
+  writer.join();
+  EXPECT_EQ(frame.payload, big);
+
+  // A bare header declaring the maximum payload, then a hang-up: the reader
+  // fails cleanly without having reserved the declared length.
+  std::string header(serve::kFrameMagic, sizeof(serve::kFrameMagic));
+  header.push_back(static_cast<char>(FrameType::kMetrics));
+  uint64_t length = serve::kMaxFramePayload;
+  header.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  ASSERT_EQ(::write(fds[0], header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  ::close(fds[0]);
+  Frame starved;
+  EXPECT_EQ(serve::ReadFrame(fds[1], &starved).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_LT(starved.payload.capacity(), size_t{1} << 20);
   ::close(fds[1]);
 }
 

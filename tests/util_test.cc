@@ -58,6 +58,16 @@ TEST(RngTest, PoissonMean) {
   EXPECT_NEAR(stats.mean(), 3.5, 0.1);
 }
 
+TEST(RngTest, PoissonOfNonPositiveMeanIsZeroAfterOneDraw) {
+  for (double mean : {0.0, -2.5}) {
+    Rng poisson(9);
+    Rng uniform(9);
+    EXPECT_EQ(poisson.Poisson(mean), 0);
+    uniform.Uniform(0.0, 1.0);  // one canonical draw
+    EXPECT_EQ(poisson.SaveState(), uniform.SaveState()) << "mean " << mean;
+  }
+}
+
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(5);
   int hits = 0;
