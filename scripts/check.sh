@@ -7,8 +7,9 @@
 # After the tests: a smoke test of the `sky` CLI's train-once / serve-many
 # flow (offline -> save -> load -> ingest as separate processes), the CLI
 # hygiene contract (--help on stdout, usage errors exit 2), the `sky serve`
-# smoke (concurrent clients, metrics, kill -9 + SIGTERM recovery bitwise),
-# the docs link check, and the gating benches so the trajectory
+# smoke (fixed-order opens, concurrent fetches, metrics, kill -9 + SIGTERM
+# recovery bitwise), the docs link check, and the gating benches so the
+# trajectory
 # (BENCH_planner_scaling.json, BENCH_forecast_training.json,
 # BENCH_appd_multistream.json, BENCH_table3_offline_runtime.json,
 # BENCH_forecast_inference.json — kernel-tier and f32-precision gates —
@@ -136,11 +137,11 @@ expect_exit 2 ./sky client frobnicate --port 1
 expect_exit 2 ./sky client open
 echo "sky CLI hygiene smoke passed"
 
-# `sky serve` smoke: a live server multiplexes two concurrent client
-# sessions (metrics frame checked); the same pair is then re-run under
-# periodic checkpointing, killed -9 mid-run, recovered with --recover, and
-# finally drained by SIGTERM and recovered once more — every recovered
-# result must carry the uninterrupted run's bitwise fingerprint.
+# `sky serve` smoke: a live server multiplexes two client sessions, fetched
+# by concurrent clients (metrics frame checked); the same pair is then
+# re-run under periodic checkpointing, killed -9 mid-run, recovered with
+# --recover, and finally drained by SIGTERM and recovered once more — every
+# recovered result must carry the uninterrupted run's bitwise fingerprint.
 SKY_SERVE_DIR=$(mktemp -d /tmp/sky_serve_smoke.XXXXXX)
 SKY_SERVE_PID=""
 trap 'rm -f "${SKY_SMOKE_MODEL}" "${SKY_SMOKE_CORRUPT}"
@@ -167,16 +168,19 @@ fingerprints() {  # fingerprints OUT FILES... -> sorted `result fnv1a` values
 OPEN_FLAGS=(--workload ev --duration-days 2 --plan-interval-days 0.25
             --record-trace)
 
-# Reference run: uninterrupted server, two genuinely concurrent clients.
+# Reference run: uninterrupted server. Seed 11 then seed 22 open in a fixed
+# order — the joint fleet's results depend on slot order, and the
+# interrupted run below opens them in this order too — then two concurrent
+# clients fetch the results.
 ./sky serve --model "${SKY_SMOKE_MODEL}" \
   --port-file "${SKY_SERVE_DIR}/ref.port" --start-after 2 &
 SKY_SERVE_PID=$!
 PORT=$(serve_wait_port "${SKY_SERVE_DIR}/ref.port")
-./sky client open --port "${PORT}" --content-seed 11 "${OPEN_FLAGS[@]}" \
-  --wait > "${SKY_SERVE_DIR}/ref1.txt" &
+./sky client open --port "${PORT}" --content-seed 11 "${OPEN_FLAGS[@]}"
+./sky client open --port "${PORT}" --content-seed 22 "${OPEN_FLAGS[@]}"
+./sky client fetch --port "${PORT}" --session 1 > "${SKY_SERVE_DIR}/ref1.txt" &
 SKY_C1=$!
-./sky client open --port "${PORT}" --content-seed 22 "${OPEN_FLAGS[@]}" \
-  --wait > "${SKY_SERVE_DIR}/ref2.txt" &
+./sky client fetch --port "${PORT}" --session 2 > "${SKY_SERVE_DIR}/ref2.txt" &
 SKY_C2=$!
 wait "${SKY_C1}" "${SKY_C2}"
 ./sky client metrics --port "${PORT}" |

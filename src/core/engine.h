@@ -333,6 +333,11 @@ class IngestionEngine {
   Result<IngestState> Checkpoint() const;
   Status Restore(const IngestState& snapshot);
 
+  /// Read-only view of the live session state, null before the first
+  /// Start: what a fleet checkpoint serializes in place, without the
+  /// Checkpoint() copy. Valid until the engine next steps or restarts.
+  const IngestState* session_state() const { return state_.get(); }
+
   // --- Plan-boundary hooks (used by StreamSet for joint planning) ---
 
   /// True when the next Step() would run the knob planner (and the plan for

@@ -8,6 +8,7 @@
 #include <limits>
 #include <utility>
 
+#include "io/atomic_file.h"
 #include "io/checkpoint_io.h"
 
 namespace sky::core {
@@ -306,25 +307,46 @@ size_t StreamSet::total_restarts() const {
   return total;
 }
 
+Status StreamSet::AppendCheckpoint(io::wire::Writer* w) const {
+  return io::AppendFleetCheckpoint(
+      engines_.size(),
+      [this](size_t v) {
+        io::StreamCheckpointSource src;
+        src.status = &statuses_[v];
+        if (engines_[v] != nullptr) {
+          src.live_state = engines_[v]->session_state();
+        }
+        src.has_state = src.live_state != nullptr;
+        return src;
+      },
+      w);
+}
+
 Status StreamSet::CaptureCheckpoint(io::FleetCheckpoint* out) const {
-  out->streams.clear();
-  out->streams.resize(engines_.size());
+  out->streams.assign(engines_.size(), io::StreamCheckpoint{});
   for (size_t v = 0; v < engines_.size(); ++v) {
     io::StreamCheckpoint& sc = out->streams[v];
     sc.status = statuses_[v];
     if (engines_[v] == nullptr || !engines_[v]->started()) continue;
-    Result<IngestState> snap = engines_[v]->Checkpoint();
-    SKY_RETURN_NOT_OK(snap.status());
-    SKY_RETURN_NOT_OK(io::SerializeIngestState(*snap, &sc.state));
+    SKY_RETURN_NOT_OK(
+        io::SerializeIngestState(*engines_[v]->session_state(), &sc.state));
     sc.has_state = true;
   }
   return Status::Ok();
 }
 
+Status StreamSet::WriteCheckpoint(const std::string& path,
+                                  std::string* buffer) const {
+  buffer->clear();
+  io::wire::Writer w(buffer);
+  SKY_RETURN_NOT_OK(AppendCheckpoint(&w));
+  w.Finish();
+  return io::AtomicWriteFile(path, *buffer);
+}
+
 Status StreamSet::SaveCheckpoint(const std::string& path) const {
-  io::FleetCheckpoint ckpt;
-  SKY_RETURN_NOT_OK(CaptureCheckpoint(&ckpt));
-  return io::SaveFleetCheckpoint(ckpt, path);
+  std::string buffer;
+  return WriteCheckpoint(path, &buffer);
 }
 
 void StreamSet::CaptureBoundaryCheckpoint(size_t v) {
@@ -346,14 +368,17 @@ void StreamSet::MaybeAutoCheckpoint() {
   }
   // Auto-checkpointing is best-effort by design: a full disk must not kill
   // an otherwise healthy fleet. The failure is observable, never fatal.
-  last_checkpoint_status_ = SaveCheckpoint(options_.checkpoint_path);
+  last_checkpoint_status_ =
+      WriteCheckpoint(options_.checkpoint_path, &auto_checkpoint_buffer_);
 }
 
-Status StreamSet::AdvanceStream(size_t v, int64_t target_index) {
+Status StreamSet::AdvanceStream(size_t v, int64_t target_index,
+                                const std::atomic<bool>* cancel) {
   IngestionEngine& e = *engines_[v];
   const bool supervise = options_.max_stream_restarts > 0;
   while (statuses_[v].ok() && !e.Done() &&
-         e.next_segment_index() < target_index) {
+         e.next_segment_index() < target_index &&
+         (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
     if (supervise && e.AtPlanBoundary()) CaptureBoundaryCheckpoint(v);
     Status stepped;
     try {
@@ -565,14 +590,20 @@ Status StreamSet::RunUntilElapsed(SimTime elapsed) {
   return Status::Ok();
 }
 
-Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
+Status StreamSet::RunToCompletion(dag::ThreadPool* pool,
+                                  const BoundaryHook& on_boundary,
+                                  const std::atomic<bool>* cancel) {
   if (options_.planning == MultiStreamPlanning::kIndependent) {
+    if (on_boundary) {
+      return Status::InvalidArgument(
+          "independent mode has no lockstep boundary to run a hook at");
+    }
     // Streams are fully independent simulations: one stream per pool slot,
     // each stepped straight through — the exact RunStreamEngines fan-out,
     // identical results for any thread count.
     dag::ParallelFor(pool, engines_.size(), [&](size_t v) {
       if (!Active(v)) return;
-      AdvanceStream(v, std::numeric_limits<int64_t>::max());
+      AdvanceStream(v, std::numeric_limits<int64_t>::max(), cancel);
     });
     return Status::Ok();
   }
@@ -583,26 +614,32 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
   // workers - 1 pool threads join it. Between boundaries every worker steps
   // only its own shard through the plan interval — no shared mutable state,
   // no locks. The lockstep plan boundary is the ONLY synchronization point:
-  // workers park at the barrier, its leader runs JointPlanBoundaryIfDue in
-  // a guaranteed single-threaded window (streams visited in index order,
-  // exactly as the Step() driver would), then everyone resumes. Results are
-  // bitwise-identical for any worker count — and to stepping the set
-  // manually — because engines are independent between boundaries and the
-  // planner sees the identical call sequence either way.
+  // workers park at the barrier, its leader runs the hook and then
+  // JointPlanBoundaryIfDue in a guaranteed single-threaded window (streams
+  // visited in index order, exactly as the Step() driver would), then
+  // everyone resumes. Results are bitwise-identical for any worker count —
+  // and to stepping the set manually — because engines are independent
+  // between boundaries and the planner sees the identical call sequence
+  // either way.
   size_t workers = 1 + (pool == nullptr ? 0 : pool->num_threads());
-  workers = std::min(workers, engines_.size());
-  if (workers == 0) workers = 1;
+  // Without a hook membership is fixed, so workers beyond the stream count
+  // would only idle at the barrier. A hook may admit streams in any window,
+  // so then the whole pool takes part from the start.
+  if (!on_boundary) {
+    workers = std::max<size_t>(1, std::min(workers, engines_.size()));
+  }
 
   dag::Barrier barrier(workers);
   std::atomic<bool> stop{false};
   Status boundary_status;  // leader writes pre-stop; read after the join
 
   auto coordinate = [&] {
-    if (Done()) {
-      stop.store(true);
-      return;
-    }
     try {
+      if ((cancel != nullptr && cancel->load()) ||
+          (on_boundary && !on_boundary()) || Done()) {
+        stop.store(true);
+        return;
+      }
       Status st = JointPlanBoundaryIfDue();
       if (!st.ok()) {
         boundary_status = st;
@@ -618,8 +655,6 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
   };
   auto worker = [&](size_t w) {
     for (;;) {
-      barrier.ArriveAndWait(coordinate);
-      if (stop.load()) return;
       for (size_t v = w; v < engines_.size(); v += workers) {
         if (!Active(v)) continue;
         // Per-stream failures (error Status or a throwing workload) are
@@ -630,11 +665,18 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool) {
         // the same unit RunInterval covers.
         int64_t spi = engines_[v]->segments_per_interval();
         int64_t next = engines_[v]->next_segment_index();
-        AdvanceStream(v, next - (next % spi) + spi);
+        AdvanceStream(v, next - (next % spi) + spi, cancel);
       }
+      barrier.ArriveAndWait(coordinate);
+      if (stop.load()) return;
     }
   };
 
+  // The entry window runs on the calling thread before any worker starts,
+  // so a run that stops there (a server with nothing to step yet) never
+  // wakes the pool.
+  coordinate();
+  if (stop.load()) return boundary_status;
   if (workers == 1) {
     worker(0);
     return boundary_status;

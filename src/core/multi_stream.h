@@ -1,8 +1,11 @@
 #ifndef SKYSCRAPER_CORE_MULTI_STREAM_H_
 #define SKYSCRAPER_CORE_MULTI_STREAM_H_
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -144,9 +147,10 @@ struct StreamSetOptions {
   /// behavior.
   size_t max_stream_restarts = 0;
   /// When non-empty, the set writes a crash-consistent fleet checkpoint to
-  /// this path (via io::SaveFleetCheckpoint — atomic temp-file + rename)
-  /// every `checkpoint_every_boundaries` lockstep plan boundaries. A failed
-  /// write never fails the run; see last_checkpoint_status().
+  /// this path (SaveCheckpoint's bytes, atomic temp-file + rename) every
+  /// `checkpoint_every_boundaries` lockstep plan boundaries, into one buffer
+  /// reused across boundaries. A failed write never fails the run; see
+  /// last_checkpoint_status().
   std::string checkpoint_path;
   size_t checkpoint_every_boundaries = 0;
 };
@@ -273,12 +277,31 @@ class StreamSet {
   /// of its own stream (or finished).
   Status RunUntilElapsed(SimTime elapsed);
 
+  /// Called in each barrier window of a joint-mode RunToCompletion: every
+  /// worker is parked, so the hook may use the whole set (AddStream,
+  /// RemoveStream, ReconfigureStream, set_shared_budget, SaveCheckpoint)
+  /// exactly as between Step() calls. It runs BEFORE the window's joint
+  /// plan, so it sees the boundary with no plan installed yet. Returning
+  /// false stops the run at this boundary.
+  using BoundaryHook = std::function<bool()>;
+
   /// Runs every stream to completion. Independent mode fans whole engine
   /// runs out on `pool` (one stream per slot); joint mode solves each
   /// lockstep boundary serially and fans the in-between intervals out.
   /// Results are identical for any pool size, and identical to stepping
   /// the set manually.
-  Status RunToCompletion(dag::ThreadPool* pool = nullptr);
+  ///
+  /// Joint mode only: `on_boundary` runs in every barrier window, the first
+  /// one at entry, on the calling thread before the pool is woken (a set
+  /// entered at a plan boundary sees every window at a lockstep boundary);
+  /// streams it admits join the worker shards at once.
+  /// `cancel`, polled between segments, abandons the run mid-interval.
+  /// Either way the run returns Ok with the set wherever it stopped; Done()
+  /// tells a completed run apart. Independent mode refuses a hook
+  /// (kInvalidArgument): it has no lockstep boundary to call it at.
+  Status RunToCompletion(dag::ThreadPool* pool = nullptr,
+                         const BoundaryHook& on_boundary = nullptr,
+                         const std::atomic<bool>* cancel = nullptr);
 
   /// Per-stream results in job order: the final EngineResult for finished
   /// streams, the stream's error otherwise (kFailedPrecondition for
@@ -297,14 +320,21 @@ class StreamSet {
   /// Total supervised restarts across the fleet.
   size_t total_restarts() const;
 
-  /// Snapshots the whole fleet into an in-memory checkpoint: per-stream
-  /// quarantine status plus, for every started engine, its full serialized
-  /// session state. Meaningful at a lockstep boundary, where every live
+  /// Appends a fleet checkpoint of the whole set through `w`: per-stream
+  /// quarantine status plus, for every started engine, its full session
+  /// state, serialized straight from the live engine (io::
+  /// AppendFleetCheckpoint; no state is copied first). The caller runs
+  /// w->Finish(). Meaningful at a lockstep boundary, where every live
   /// stream sits at the same virtual time, but callable anywhere.
-  Status CaptureCheckpoint(io::FleetCheckpoint* out) const;
+  Status AppendCheckpoint(io::wire::Writer* w) const;
 
-  /// CaptureCheckpoint written to `path`, atomically (temp file + rename).
+  /// AppendCheckpoint written to `path`, atomically (temp file + rename).
   Status SaveCheckpoint(const std::string& path) const;
+
+  /// The same snapshot as an in-memory io::FleetCheckpoint (each started
+  /// engine's state serialized in place into its entry, no state copy);
+  /// io::SerializeFleetCheckpoint of it equals AppendCheckpoint's bytes.
+  Status CaptureCheckpoint(io::FleetCheckpoint* out) const;
 
   /// Status of the most recent automatic checkpoint write (Ok when none has
   /// been attempted). Auto-checkpoint failures are recorded here, never
@@ -333,7 +363,8 @@ class StreamSet {
   /// boundary checkpoint and the loop continues — until the restart budget
   /// is spent, at which point the stream quarantines exactly as before.
   /// Thread-safe across distinct `v` (touches only stream v's state).
-  Status AdvanceStream(size_t v, int64_t target_index);
+  Status AdvanceStream(size_t v, int64_t target_index,
+                       const std::atomic<bool>* cancel = nullptr);
 
   /// Snapshots stream `v`'s engine for supervised restarts. No-op unless
   /// max_stream_restarts > 0.
@@ -342,6 +373,10 @@ class StreamSet {
   /// Counts a planned boundary and, when configured, writes the periodic
   /// fleet checkpoint (failures land in last_checkpoint_status_ only).
   void MaybeAutoCheckpoint();
+
+  /// AppendCheckpoint into `buffer` (cleared first, capacity kept), then the
+  /// atomic write to `path`.
+  Status WriteCheckpoint(const std::string& path, std::string* buffer) const;
 
   StreamSetOptions options_;
   std::vector<StreamEngineJob> jobs_;
@@ -353,6 +388,7 @@ class StreamSet {
   std::vector<size_t> restarts_used_;
   size_t boundaries_planned_ = 0;
   Status last_checkpoint_status_;
+  std::string auto_checkpoint_buffer_;  ///< reused by every auto-checkpoint
   /// Warm incremental planner for joint boundaries.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;

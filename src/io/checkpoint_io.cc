@@ -3,7 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "io/atomic_file.h"
 #include "io/wire.h"
 
 namespace sky::io {
@@ -12,7 +11,6 @@ namespace {
 
 using wire::Cursor;
 using wire::Fnv1a64;
-using wire::PutChunk;
 using wire::PutF64;
 using wire::PutF64Rows;
 using wire::PutF64Vec;
@@ -122,7 +120,15 @@ Status ParseEngineResult(Cursor* c, core::EngineResult* r) {
 
 Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   out->clear();
-  std::string* p = out;
+  wire::Writer w(out);
+  SKY_RETURN_NOT_OK(AppendIngestState(state, &w));
+  w.Finish();
+  return Status::Ok();
+}
+
+Status AppendIngestState(const core::IngestState& state, wire::Writer* w) {
+  std::string* p = w->out();
+  const size_t start = p->size();
   PutU32(p, kCheckpointFormatVersion);
   // Buffer capacity first: deserialization needs it to construct the state
   // before any other field can be filled.
@@ -175,7 +181,7 @@ Status SerializeIngestState(const core::IngestState& state, std::string* out) {
   PutF64Vec(p, state.switcher.usage_totals());
   // Trailing FNV-1a over everything above: a restored run must never start
   // from silently corrupted state, so bit flips are refused at load time.
-  PutU64(p, Fnv1a64(out->data(), out->size()));
+  w->PutChecksum(start);
   return Status::Ok();
 }
 
@@ -294,24 +300,51 @@ Result<core::IngestState> DeserializeIngestState(
   return state;
 }
 
+Status AppendFleetCheckpoint(
+    size_t num_streams,
+    const std::function<StreamCheckpointSource(size_t)>& stream,
+    wire::Writer* w) {
+  std::string* out = w->out();
+  const size_t start = w->BeginContainer(kFormat);
+  size_t chunk = w->BeginChunk(kChunkMeta);
+  PutU64(out, num_streams);
+  w->EndChunk(chunk);
+  for (size_t v = 0; v < num_streams; ++v) {
+    const StreamCheckpointSource src = stream(v);
+    chunk = w->BeginChunk(kChunkStream);
+    PutU64(out, v);
+    wire::PutStatus(out, *src.status);
+    PutU8(out, src.has_state ? 1 : 0);
+    if (src.live_state != nullptr) {
+      const size_t state = w->BeginString();
+      SKY_RETURN_NOT_OK(AppendIngestState(*src.live_state, w));
+      w->EndString(state);
+    } else {
+      PutString(out, src.state_bytes != nullptr ? *src.state_bytes
+                                                : std::string());
+    }
+    w->EndChunk(chunk);
+  }
+  w->EndContainer(start);
+  return Status::Ok();
+}
+
 Status SerializeFleetCheckpoint(const FleetCheckpoint& ckpt,
                                 std::string* out) {
-  wire::BeginContainer(kFormat, out);
-  {
-    std::string p;
-    PutU64(&p, ckpt.streams.size());
-    PutChunk(out, kChunkMeta, p);
-  }
-  for (size_t v = 0; v < ckpt.streams.size(); ++v) {
-    const StreamCheckpoint& sc = ckpt.streams[v];
-    std::string p;
-    PutU64(&p, v);
-    wire::PutStatus(&p, sc.status);
-    PutU8(&p, sc.has_state ? 1 : 0);
-    PutString(&p, sc.state);
-    PutChunk(out, kChunkStream, p);
-  }
-  wire::EndContainer(out);
+  out->clear();
+  wire::Writer w(out);
+  SKY_RETURN_NOT_OK(AppendFleetCheckpoint(
+      ckpt.streams.size(),
+      [&](size_t v) {
+        const StreamCheckpoint& sc = ckpt.streams[v];
+        StreamCheckpointSource src;
+        src.status = &sc.status;
+        src.has_state = sc.has_state;
+        src.state_bytes = &sc.state;
+        return src;
+      },
+      &w));
+  w.Finish();
   return Status::Ok();
 }
 
@@ -365,13 +398,6 @@ Result<FleetCheckpoint> ParseFleetCheckpoint(const std::string& bytes) {
         "checkpoint stream count does not match META");
   }
   return ckpt;
-}
-
-Status SaveFleetCheckpoint(const FleetCheckpoint& ckpt,
-                           const std::string& path) {
-  std::string out;
-  SKY_RETURN_NOT_OK(SerializeFleetCheckpoint(ckpt, &out));
-  return AtomicWriteFile(path, out);
 }
 
 Result<FleetCheckpoint> LoadFleetCheckpoint(const std::string& path) {

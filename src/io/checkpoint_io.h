@@ -2,6 +2,7 @@
 #define SKYSCRAPER_IO_CHECKPOINT_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ inline constexpr uint32_t kCheckpointFormatVersion = 1;
 /// deserialization borrows category/profile tables from the model the
 /// engine already holds.
 Status SerializeIngestState(const core::IngestState& state, std::string* out);
+
+/// The same record appended through `w` (its trailing checksum covers only
+/// the record and is filled by w->Finish()) — how a fleet checkpoint embeds
+/// a live engine's state in place.
+Status AppendIngestState(const core::IngestState& state, wire::Writer* w);
 
 /// Parses bytes written by SerializeIngestState against `model` — which must
 /// be the model of the engine the state will be restored into (bitwise the
@@ -56,10 +62,32 @@ struct FleetCheckpoint {
   std::vector<StreamCheckpoint> streams;
 };
 
-/// Renders a fleet checkpoint to bytes: the chunked, checksummed wire
-/// format (magic SKYCKPT1, versioned header, one chunk per stream, FNV-1a
-/// trailer). The serve-server checkpoint embeds these bytes verbatim inside
-/// its own file, so the fleet layout has exactly one definition.
+/// One stream as the fleet checkpoint writer reads it: its status, its
+/// has-state flag, and its engine state — either live (serialized in place,
+/// never copied) or as bytes already serialized by SerializeIngestState
+/// (written verbatim whatever the flag says, as a parsed file holds them).
+/// Both null: an empty state.
+struct StreamCheckpointSource {
+  const Status* status = nullptr;
+  bool has_state = false;
+  const core::IngestState* live_state = nullptr;
+  const std::string* state_bytes = nullptr;
+};
+
+/// The fleet checkpoint layout, written once: appends a whole fleet
+/// container through `w` — the chunked, checksummed wire format (magic
+/// SKYCKPT1, versioned header, META, one STRM chunk per stream, FNV-1a
+/// trailer) — with `stream(v)` supplying stream v. The serve checkpoint
+/// embeds the container in its own FLEE chunk through the same writer, so
+/// the fleet layout has exactly one definition. The bytes are valid once
+/// the caller's w->Finish() has run.
+Status AppendFleetCheckpoint(
+    size_t num_streams,
+    const std::function<StreamCheckpointSource(size_t)>& stream,
+    wire::Writer* w);
+
+/// Renders a parsed (or hand-built) fleet checkpoint to bytes through
+/// AppendFleetCheckpoint: identical bytes to the live writer's.
 Status SerializeFleetCheckpoint(const FleetCheckpoint& ckpt,
                                 std::string* out);
 
@@ -68,13 +96,7 @@ Status SerializeFleetCheckpoint(const FleetCheckpoint& ckpt,
 /// before anything is parsed).
 Result<FleetCheckpoint> ParseFleetCheckpoint(const std::string& bytes);
 
-/// Writes a fleet checkpoint to `path` (SerializeFleetCheckpoint through
-/// io::AtomicWriteFile) — a crash mid-save never clobbers the last good
-/// checkpoint.
-Status SaveFleetCheckpoint(const FleetCheckpoint& ckpt,
-                           const std::string& path);
-
-/// Reads a checkpoint written by SaveFleetCheckpoint. kNotFound for a
+/// Reads a checkpoint file (StreamSet::SaveCheckpoint). kNotFound for a
 /// missing file; kInvalidArgument for corrupt, truncated, or wrong-version
 /// contents.
 Result<FleetCheckpoint> LoadFleetCheckpoint(const std::string& path);

@@ -197,7 +197,9 @@ Status ParseRuntimes(Cursor* c, core::OfflineModel* model) {
 Status SerializeOfflineModel(const core::OfflineModel& model,
                              const std::string& annotation,
                              std::string* out) {
-  wire::BeginContainer(kFormat, out);
+  out->clear();
+  wire::Writer w(out);
+  const size_t start = w.BeginContainer(kFormat);
   PutChunk(out, kChunkMeta, MetaPayload(model));
   {
     std::string p;
@@ -219,7 +221,8 @@ Status SerializeOfflineModel(const core::OfflineModel& model,
     PutChunk(out, kChunkForecaster, p);
   }
   PutChunk(out, kChunkRuntimes, RuntimesPayload(model));
-  wire::EndContainer(out);
+  w.EndContainer(start);
+  w.Finish();
   return Status::Ok();
 }
 

@@ -1,5 +1,6 @@
 #include "io/wire.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -9,11 +10,18 @@
 
 namespace sky::io::wire {
 
+namespace {
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+}  // namespace
+
 uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvBasis;
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -171,18 +179,113 @@ constexpr char kChunkChecksum[4] = {'C', 'S', 'U', 'M'};
 
 }  // namespace
 
-void BeginContainer(const ContainerFormat& format, std::string* out) {
-  out->clear();
-  PutRaw(out, format.magic, 8);
-  PutU32(out, format.version);
-  PutU32(out, kEndianMarker);
+size_t Writer::BeginContainer(const ContainerFormat& format) {
+  size_t start = out_->size();
+  PutRaw(out_, format.magic, 8);
+  PutU32(out_, format.version);
+  PutU32(out_, kEndianMarker);
+  return start;
 }
 
-void EndContainer(std::string* out) {
-  uint64_t checksum = Fnv1a64(out->data(), out->size());
-  PutRaw(out, kChunkChecksum, 4);
-  PutU64(out, sizeof(checksum));
-  PutU64(out, checksum);
+void Writer::EndContainer(size_t start) {
+  size_t end = out_->size();
+  PutRaw(out_, kChunkChecksum, 4);
+  PutU64(out_, sizeof(uint64_t));
+  slots_.push_back({start, end, out_->size()});
+  PutU64(out_, 0);
+}
+
+size_t Writer::BeginString() {
+  size_t at = out_->size();
+  PutU64(out_, 0);
+  return at;
+}
+
+void Writer::EndString(size_t at) {
+  uint64_t size = out_->size() - at - sizeof(uint64_t);
+  std::memcpy(&(*out_)[at], &size, sizeof(size));
+}
+
+size_t Writer::BeginChunk(const char tag[4]) {
+  PutRaw(out_, tag, 4);
+  return BeginString();
+}
+
+void Writer::EndChunk(size_t at) { EndString(at); }
+
+void Writer::PutChecksum(size_t begin) {
+  slots_.push_back({begin, out_->size(), out_->size()});
+  PutU64(out_, 0);
+}
+
+namespace {
+
+/// Advances K independent FNV-1a chains over the same bytes. One chain is
+/// bound by the multiply's latency; K chains in one loop overlap theirs, so
+/// K nested checksums cost about what one does.
+template <int K>
+void HashChains(const unsigned char* p, size_t n, uint64_t* const* h) {
+  uint64_t a[K];
+  for (int k = 0; k < K; ++k) a[k] = *h[k];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t b = p[i];
+    for (int k = 0; k < K; ++k) a[k] = (a[k] ^ b) * kFnvPrime;
+  }
+  for (int k = 0; k < K; ++k) *h[k] = a[k];
+}
+
+}  // namespace
+
+void Writer::Finish() {
+  // Sweep the buffer once, left to right. At each slot boundary, finished
+  // slots store their hash (before any enclosing chain reaches the stored
+  // bytes: at >= end) and starting slots join the active set; between
+  // boundaries every active chain hashes the same bytes together.
+  std::sort(slots_.begin(), slots_.end(),
+            [](const Slot& a, const Slot& b) { return a.begin < b.begin; });
+  struct Active {
+    const Slot* slot;
+    uint64_t hash;
+  };
+  std::vector<Active> active;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(out_->data());
+  size_t next = 0;
+  size_t pos = slots_.empty() ? 0 : slots_[0].begin;
+  while (next < slots_.size() || !active.empty()) {
+    while (next < slots_.size() && slots_[next].begin == pos) {
+      active.push_back({&slots_[next++], kFnvBasis});
+    }
+    size_t until = next < slots_.size() ? slots_[next].begin : out_->size();
+    for (size_t i = 0; i < active.size();) {
+      if (active[i].slot->end == pos) {
+        std::memcpy(&(*out_)[active[i].slot->at], &active[i].hash,
+                    sizeof(uint64_t));
+        active[i] = active.back();
+        active.pop_back();
+      } else {
+        until = std::min(until, active[i].slot->end);
+        ++i;
+      }
+    }
+    if (active.empty()) {
+      if (next < slots_.size()) pos = slots_[next].begin;
+      continue;
+    }
+    const size_t n = until - pos;
+    for (size_t first = 0; first < active.size(); first += 4) {
+      uint64_t* h[4];
+      const size_t k = std::min<size_t>(4, active.size() - first);
+      for (size_t j = 0; j < k; ++j) h[j] = &active[first + j].hash;
+      switch (k) {
+        case 1: HashChains<1>(bytes + pos, n, h); break;
+        case 2: HashChains<2>(bytes + pos, n, h); break;
+        case 3: HashChains<3>(bytes + pos, n, h); break;
+        default: HashChains<4>(bytes + pos, n, h); break;
+      }
+    }
+    pos = until;
+  }
+  slots_.clear();
 }
 
 Status ReadContainer(const std::string& bytes, const ContainerFormat& format,

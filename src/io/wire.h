@@ -98,12 +98,64 @@ struct ContainerFormat {
   const char* what;
 };
 
-/// Clears `out` and writes the 16-byte header: magic, version, and the
-/// native-endian marker a reader of the other byte order rejects.
-void BeginContainer(const ContainerFormat& format, std::string* out);
+/// The one writer of every container: bytes go straight into one buffer,
+/// in a single pass. Chunk and string sizes are placeholders patched when
+/// they end, so payloads — whole nested containers included — are never
+/// built apart and copied in. Checksums (each container's CSUM trailer,
+/// and record checksums such as an engine state's) are placeholders too;
+/// Finish() fills them all in one interleaved FNV-1a pass, so a container
+/// nested three deep costs one pass over its bytes, not three. The bytes
+/// are exactly those of building each payload apart and checksumming it on
+/// its own. A caller that reuses its buffer (clear() keeps the capacity)
+/// writes every later checkpoint without growing it.
+///
+///   wire::Writer w(&buffer);              // appends after buffer's bytes
+///   size_t c = w.BeginContainer(kFormat);
+///   size_t k = w.BeginChunk(kTag);  PutU64(w.out(), 7);  w.EndChunk(k);
+///   w.EndContainer(c);
+///   w.Finish();                           // nothing is valid before this
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
-/// Appends the trailing CSUM chunk: FNV-1a-64 over every byte of `out`.
-void EndContainer(std::string* out);
+  /// The buffer, for the Put* writers.
+  std::string* out() const { return out_; }
+
+  /// Appends the 16-byte header — magic, version, and the native-endian
+  /// marker a reader of the other byte order rejects — and returns the
+  /// container's start offset, for EndContainer.
+  size_t BeginContainer(const ContainerFormat& format);
+  /// Appends the trailing CSUM chunk over the container begun at `start`.
+  void EndContainer(size_t start);
+
+  /// Appends a chunk's tag and size placeholder and returns the
+  /// placeholder's offset; EndChunk patches in the payload size since.
+  size_t BeginChunk(const char tag[4]);
+  void EndChunk(size_t at);
+
+  /// The same for a PutString-shaped field: its u64 length placeholder,
+  /// then the length of whatever was appended after it.
+  size_t BeginString();
+  void EndString(size_t at);
+
+  /// Appends a u64 placeholder for the FNV-1a-64 of out()[begin, here).
+  void PutChecksum(size_t begin);
+
+  /// Fills every checksum placeholder. Call once, after the last byte.
+  void Finish();
+
+ private:
+  /// The FNV-1a-64 of out_[begin, end), to be stored at out_[at], at >= end.
+  struct Slot {
+    size_t begin;
+    size_t end;
+    size_t at;
+  };
+  std::string* out_;
+  std::vector<Slot> slots_;
+};
 
 /// Receives one chunk's tag and a cursor over exactly its payload.
 using ChunkFn = std::function<Status(const char* tag, Cursor* payload)>;

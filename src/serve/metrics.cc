@@ -115,8 +115,19 @@ void AppendSessionObject(std::string* out, const SessionRecord& rec) {
 }  // namespace
 
 std::string RenderMetricsJson(const ServerMetrics& m) {
+  static const std::vector<SessionRecord> kNone;
+  const std::vector<SessionRecord>& sessions =
+      m.sessions != nullptr ? *m.sessions : kNone;
+  uint64_t running = 0, done = 0, failed = 0;
+  for (const SessionRecord& rec : sessions) {
+    switch (rec.state) {
+      case SessionState::kRunning: ++running; break;
+      case SessionState::kDone: ++done; break;
+      case SessionState::kFailed: ++failed; break;
+    }
+  }
   std::string out;
-  out.reserve(512 + m.sessions.size() * 256);
+  out.reserve(512 + sessions.size() * 256);
   out.append("{\n  ");
   AppendF64(&out, "uptime_s", m.uptime_s);
   out.append(",\n  ");
@@ -124,11 +135,11 @@ std::string RenderMetricsJson(const ServerMetrics& m) {
   out.append(",\n  ");
   AppendU64(&out, "sessions_rejected", m.sessions_rejected);
   out.append(",\n  ");
-  AppendU64(&out, "sessions_running", m.sessions_running);
+  AppendU64(&out, "sessions_running", running);
   out.append(",\n  ");
-  AppendU64(&out, "sessions_done", m.sessions_done);
+  AppendU64(&out, "sessions_done", done);
   out.append(",\n  ");
-  AppendU64(&out, "sessions_failed", m.sessions_failed);
+  AppendU64(&out, "sessions_failed", failed);
   out.append(",\n  ");
   AppendU64(&out, "boundaries_planned", m.boundaries_planned);
   out.append(",\n  ");
@@ -146,9 +157,9 @@ std::string RenderMetricsJson(const ServerMetrics& m) {
   out.append(",\n  ");
   AppendKey(&out, "sessions");
   out.append("[");
-  for (size_t i = 0; i < m.sessions.size(); ++i) {
+  for (size_t i = 0; i < sessions.size(); ++i) {
     if (i > 0) out.append(", ");
-    AppendSessionObject(&out, m.sessions[i]);
+    AppendSessionObject(&out, sessions[i]);
   }
   out.append("]\n}\n");
   return out;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "io/atomic_file.h"
 #include "io/wire.h"
 
 namespace sky::serve {
@@ -10,7 +9,6 @@ namespace sky::serve {
 namespace {
 
 using io::wire::Cursor;
-using io::wire::PutChunk;
 using io::wire::PutF64;
 using io::wire::PutU64;
 using io::wire::PutU8;
@@ -160,9 +158,10 @@ void SessionRegistry::BeginDrain() {
   cv_.notify_all();
 }
 
-std::vector<SessionRecord> SessionRegistry::Snapshot() const {
+void SessionRegistry::Visit(
+    const std::function<void(const std::vector<SessionRecord>&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  fn(records_);
 }
 
 size_t SessionRegistry::active_count() const {
@@ -174,25 +173,43 @@ size_t SessionRegistry::active_count() const {
   return n;
 }
 
+Status AppendServeCheckpoint(const ServeCheckpointMeta& meta,
+                             const std::vector<SessionRecord>& sessions,
+                             const FleetAppender& append_fleet,
+                             io::wire::Writer* w) {
+  std::string* out = w->out();
+  const size_t start = w->BeginContainer(kFormat);
+  size_t chunk = w->BeginChunk(kChunkMeta);
+  PutU64(out, meta.next_session_id);
+  PutU64(out, meta.sessions_accepted);
+  PutU64(out, meta.sessions_rejected);
+  PutF64(out, meta.shared_budget_core_s_per_video_s);
+  PutU64(out, sessions.size());
+  w->EndChunk(chunk);
+  for (const SessionRecord& rec : sessions) {
+    chunk = w->BeginChunk(kChunkSession);
+    AppendSessionRecord(rec, out);
+    w->EndChunk(chunk);
+  }
+  chunk = w->BeginChunk(kChunkFleet);
+  SKY_RETURN_NOT_OK(append_fleet(w));
+  w->EndChunk(chunk);
+  w->EndContainer(start);
+  return Status::Ok();
+}
+
 Status SerializeServeCheckpoint(const ServeCheckpoint& ckpt,
                                 std::string* out) {
-  io::wire::BeginContainer(kFormat, out);
-  {
-    std::string p;
-    PutU64(&p, ckpt.next_session_id);
-    PutU64(&p, ckpt.sessions_accepted);
-    PutU64(&p, ckpt.sessions_rejected);
-    PutF64(&p, ckpt.shared_budget_core_s_per_video_s);
-    PutU64(&p, ckpt.sessions.size());
-    PutChunk(out, kChunkMeta, p);
-  }
-  for (const SessionRecord& rec : ckpt.sessions) {
-    std::string p;
-    AppendSessionRecord(rec, &p);
-    PutChunk(out, kChunkSession, p);
-  }
-  PutChunk(out, kChunkFleet, ckpt.fleet_bytes);
-  io::wire::EndContainer(out);
+  out->clear();
+  io::wire::Writer w(out);
+  SKY_RETURN_NOT_OK(AppendServeCheckpoint(
+      ckpt, ckpt.sessions,
+      [&](io::wire::Writer* fleet) {
+        fleet->out()->append(ckpt.fleet_bytes);
+        return Status::Ok();
+      },
+      &w));
+  w.Finish();
   return Status::Ok();
 }
 
@@ -254,13 +271,6 @@ Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes) {
         "serve checkpoint session count does not match META");
   }
   return ckpt;
-}
-
-Status SaveServeCheckpoint(const ServeCheckpoint& ckpt,
-                           const std::string& path) {
-  std::string bytes;
-  SKY_RETURN_NOT_OK(SerializeServeCheckpoint(ckpt, &bytes));
-  return io::AtomicWriteFile(path, bytes);
 }
 
 Result<ServeCheckpoint> LoadServeCheckpoint(const std::string& path) {

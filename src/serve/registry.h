@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -67,8 +68,11 @@ class SessionRegistry {
   /// Drain: wakes every AwaitResult waiter whose session is still running.
   void BeginDrain();
 
-  /// Point-in-time copy of every record (metrics, checkpointing).
-  std::vector<SessionRecord> Snapshot() const;
+  /// Runs `fn` over every record under the registry lock, so metrics and
+  /// checkpoints read results (traces included) in place instead of
+  /// copying them. `fn` must not call back into the registry.
+  void Visit(
+      const std::function<void(const std::vector<SessionRecord>&)>& fn) const;
 
   size_t active_count() const;
 
@@ -82,27 +86,47 @@ class SessionRegistry {
   const SessionRecord* FindLocked(uint64_t id) const;
 };
 
-/// A serve-server checkpoint: the session table plus the embedded fleet
-/// checkpoint (io::SerializeFleetCheckpoint bytes, verbatim), written at a
-/// lockstep plan boundary BEFORE that boundary's plan is installed — so a
-/// recovered server replays the boundary deterministically and the resumed
-/// fleet is bitwise-identical to one that never stopped.
-struct ServeCheckpoint {
+/// A serve checkpoint's scalar state: its META chunk, less the session
+/// count.
+struct ServeCheckpointMeta {
   uint64_t next_session_id = 1;
   uint64_t sessions_accepted = 0;
   uint64_t sessions_rejected = 0;
   double shared_budget_core_s_per_video_s = 0.0;
+};
+
+/// A serve-server checkpoint: the session table plus the embedded fleet
+/// checkpoint (an io::AppendFleetCheckpoint container, verbatim), written
+/// at a lockstep plan boundary BEFORE that boundary's plan is installed —
+/// so a recovered server replays the boundary deterministically and the
+/// resumed fleet is bitwise-identical to one that never stopped.
+struct ServeCheckpoint : ServeCheckpointMeta {
   std::vector<SessionRecord> sessions;
   std::string fleet_bytes;
 };
 
+/// Appends the FLEE chunk's payload — a fleet checkpoint container — in
+/// place through the writer.
+using FleetAppender = std::function<Status(io::wire::Writer* w)>;
+
+/// The serve checkpoint layout, written once: appends the whole container
+/// through `w` — META, one SESS chunk per record, then the FLEE chunk,
+/// whose payload `append_fleet` writes in place (the server passes
+/// StreamSet::AppendCheckpoint, so engine states go from the live engines
+/// straight into the one buffer). The caller runs w->Finish().
+Status AppendServeCheckpoint(const ServeCheckpointMeta& meta,
+                             const std::vector<SessionRecord>& sessions,
+                             const FleetAppender& append_fleet,
+                             io::wire::Writer* w);
+
+/// A parsed (or hand-built) checkpoint through AppendServeCheckpoint, its
+/// fleet bytes copied into the FLEE chunk: the same bytes the server wrote.
 Status SerializeServeCheckpoint(const ServeCheckpoint& ckpt,
                                 std::string* out);
 Result<ServeCheckpoint> ParseServeCheckpoint(const std::string& bytes);
 
-/// Atomic write (temp file + rename) / checked read of the serve format.
-Status SaveServeCheckpoint(const ServeCheckpoint& ckpt,
-                           const std::string& path);
+/// Checked read of a serve checkpoint file (the server writes it
+/// atomically: temp file + rename).
 Result<ServeCheckpoint> LoadServeCheckpoint(const std::string& path);
 
 }  // namespace sky::serve

@@ -7,10 +7,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "api/workload_registry.h"
+#include "io/atomic_file.h"
 #include "util/sim_time.h"
 #include "util/stats.h"
 
@@ -20,6 +23,10 @@ namespace {
 
 constexpr int kAcceptPollMs = 200;
 constexpr auto kQueueWaitMs = std::chrono::milliseconds(50);
+/// How long the listener waits after accept runs out of fds: the pending
+/// connection stays queued and poll keeps reporting it, so an immediate
+/// retry would spin until some connection ends and frees one.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(50);
 
 Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
@@ -43,6 +50,7 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   // (bind + recover before any thread exists) so Init failures are clean.
   std::unique_ptr<Server> server(new Server(std::move(options)));
   SKY_RETURN_NOT_OK(server->Init());
+  server->PublishStats();
   server->started_at_ = std::chrono::steady_clock::now();
   server->fleet_thread_ = std::thread([s = server.get()] { s->FleetLoop(); });
   server->listen_thread_ = std::thread([s = server.get()] { s->ListenLoop(); });
@@ -50,6 +58,11 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
 }
 
 Status Server::Init() {
+  if (options_.workers > kMaxServerWorkers) {
+    return Status::InvalidArgument("at most " +
+                                   std::to_string(kMaxServerWorkers) +
+                                   " fleet workers");
+  }
   base_workload_ = api::MakeWorkloadByName(options_.workload);
   if (base_workload_ == nullptr) {
     return Status::InvalidArgument("unknown workload '" + options_.workload +
@@ -62,7 +75,18 @@ Status Server::Init() {
 
   if (!options_.recover_path.empty()) {
     SKY_RETURN_NOT_OK(RecoverFromServeCheckpoint());
+  } else {
+    core::StreamSetOptions set_opts;
+    set_opts.planning = core::MultiStreamPlanning::kJoint;
+    set_opts.shared_budget_core_s_per_video_s = shared_budget_;
+    set_opts.max_stream_restarts = options_.max_stream_restarts;
+    auto fleet = core::StreamSet::Create({}, set_opts);
+    if (!fleet.ok()) return fleet.status();
+    fleet_ = std::make_unique<core::StreamSet>(std::move(*fleet));
   }
+  size_t workers = options_.workers > 0 ? options_.workers
+                                        : dag::DefaultThreadCount();
+  if (workers > 1) pool_ = std::make_unique<dag::ThreadPool>(workers - 1);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
@@ -102,11 +126,7 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
     return Status::InvalidArgument("unknown workload '" + spec.workload +
                                    "'");
   }
-  tenant->facade = std::make_unique<api::Skyscraper>(tenant->workload.get());
-  tenant->facade->SetResources(options_.resources);
-  SKY_RETURN_NOT_OK(tenant->facade->LoadModel(options_.model_path,
-                                              tenant->workload->name()));
-  auto model = tenant->facade->model();
+  auto model = base_facade_->model();
   if (!model.ok()) return model.status();
 
   // Spec defaults resolve exactly like the matching `sky ingest` flags.
@@ -132,7 +152,10 @@ Result<core::StreamEngineJob> Server::BuildJob(const SessionSpec& spec,
     opts.cloud_budget_usd_per_interval = *spec.cloud_budget_usd_per_interval;
   }
   opts.work_budget_override = spec.work_budget_override;
-  return tenant->facade->MakeStreamJob(Days(start_days), opts);
+  SKY_ASSIGN_OR_RETURN(core::StreamEngineJob job,
+                       base_facade_->MakeStreamJob(Days(start_days), opts));
+  job.workload = tenant->workload.get();
+  return job;
 }
 
 double Server::NewcomerCheapestCost() const {
@@ -196,83 +219,33 @@ Status Server::RecoverFromServeCheckpoint() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet thread.
+// Fleet thread and boundary window.
+
+bool Server::CanStep() const {
+  return sessions_accepted_ >= options_.start_after_sessions &&
+         !fleet_->Done();
+}
 
 void Server::FleetLoop() {
   Status terminal;
-  for (;;) {
-    if (stop_.load()) break;
-
-    // Harvest BEFORE the idle check: the step that finishes the last stream
-    // flips fleet Done, and without this the loop would park without ever
-    // publishing that stream's result to its waiting client.
-    HarvestFinished();
-
-    std::vector<std::unique_ptr<Command>> cmds;
-    bool drain_now = false;
+  bool exit = false;
+  while (!exit && !stop_.load()) {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      bool holding = sessions_accepted_ < options_.start_after_sessions;
-      bool can_step =
-          fleet_ != nullptr && !fleet_->Done() && !holding;
-      if (queue_.empty() && !drain_requested_ && !can_step) {
+      if (queue_.empty() && !drain_requested_ && !CanStep()) {
         queue_cv_.wait_for(lock, kQueueWaitMs);
         continue;
       }
-      while (!queue_.empty()) {
-        cmds.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      drain_now = drain_requested_;
     }
-
-    // Membership / knob commands and drain land only in the lockstep
-    // boundary window; metrics are answered wherever the clock stands.
-    bool at_boundary = fleet_ == nullptr || fleet_->AtLockstepBoundary();
-    std::vector<std::unique_ptr<Command>> deferred;
-    for (auto& cmd : cmds) {
-      if (cmd->kind == Command::Kind::kMetrics) {
-        cmd->reply.set_value(CollectMetricsJson());
-      } else if (at_boundary) {
-        ServiceBoundaryCommand(cmd.get());
-      } else {
-        deferred.push_back(std::move(cmd));
-      }
-    }
-    if (!deferred.empty()) {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      // Put deferred commands back in arrival order ahead of newcomers.
-      for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-        queue_.push_front(std::move(*it));
-      }
-    }
-
-    if (drain_now && at_boundary) {
-      if (!options_.checkpoint_path.empty()) {
-        terminal = WriteServeCheckpoint();
-      }
-      break;
-    }
-
-    bool holding = sessions_accepted_ < options_.start_after_sessions;
-    if (holding || fleet_ == nullptr || fleet_->Done()) continue;
-
-    // The serve checkpoint is taken at the boundary BEFORE its plan is
-    // installed (Step plans then advances), so a recovered server replays
-    // the boundary deterministically.
-    if (at_boundary && options_.checkpoint_every_boundaries > 0 &&
-        !options_.checkpoint_path.empty()) {
-      ++boundaries_seen_;
-      if (boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
-        // Periodic checkpoint failures never fail the run (same contract as
-        // StreamSet auto-checkpoints); the final drain checkpoint does.
-        last_checkpoint_status_ = WriteServeCheckpoint();
-      }
-    }
-
-    Status step = fleet_->Step();
-    if (!step.ok()) {
-      terminal = step;
+    // Commands, drain and stepping all go through the scheduler: its entry
+    // barrier is a boundary window too, so a command that arrives while the
+    // fleet idles is served there, and a fleet it makes steppable starts
+    // right away.
+    Status ran = fleet_->RunToCompletion(
+        pool_.get(), [&] { return BoundaryWindow(&exit, &terminal); },
+        &stop_);
+    if (!ran.ok()) {
+      terminal = ran;
       break;
     }
   }
@@ -294,6 +267,51 @@ void Server::FleetLoop() {
   finished_.store(true);
 }
 
+bool Server::BoundaryWindow(bool* exit, Status* terminal) {
+  HarvestFinished();
+
+  std::vector<std::unique_ptr<Command>> cmds;
+  bool drain = false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    while (!queue_.empty()) {
+      cmds.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    drain = drain_requested_;
+  }
+  std::vector<Result<std::string>> replies;
+  replies.reserve(cmds.size());
+  for (const auto& cmd : cmds) replies.push_back(ServiceCommand(*cmd));
+  // Publish before replying, so a client that reads metrics after its
+  // reply sees the counters its command changed.
+  PublishStats();
+  for (size_t i = 0; i < cmds.size(); ++i) {
+    cmds[i]->reply.set_value(std::move(replies[i]));
+  }
+
+  if (drain) {
+    if (!options_.checkpoint_path.empty()) {
+      *terminal = WriteServeCheckpoint();
+    }
+    *exit = true;
+    return false;
+  }
+  if (!CanStep()) return false;
+
+  // The serve checkpoint is taken in the window, BEFORE the boundary's plan
+  // is installed, so a recovered server replays the boundary
+  // deterministically. Periodic checkpoint failures never fail the run
+  // (same contract as StreamSet auto-checkpoints); the final drain
+  // checkpoint does.
+  if (options_.checkpoint_every_boundaries > 0 &&
+      !options_.checkpoint_path.empty() &&
+      ++boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
+    last_checkpoint_status_ = WriteServeCheckpoint();
+  }
+  return true;
+}
+
 Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
   auto reply = cmd->reply.get_future();
   {
@@ -305,8 +323,8 @@ Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
       return Status::FailedPrecondition("server is shutting down");
     }
     // Setting the drain flag under the same lock as the push guarantees the
-    // fleet loop observes the command and the flag together, so the kDrain
-    // ack is always delivered before the loop exits.
+    // boundary window observes the command and the flag together, so the
+    // kDrain ack is always delivered before the fleet loop exits.
     if (cmd->kind == Command::Kind::kDrain) drain_requested_ = true;
     queue_.push_back(std::move(cmd));
   }
@@ -315,10 +333,15 @@ Result<std::string> Server::Dispatch(std::unique_ptr<Command> cmd) {
 }
 
 void Server::HarvestFinished() {
-  if (fleet_ == nullptr) return;
-  for (const SessionRecord& rec : registry_.Snapshot()) {
-    if (rec.state != SessionState::kRunning) continue;
-    size_t v = static_cast<size_t>(rec.stream_index);
+  std::vector<std::pair<uint64_t, size_t>> running;  // (session id, slot)
+  registry_.Visit([&](const std::vector<SessionRecord>& records) {
+    for (const SessionRecord& rec : records) {
+      if (rec.state == SessionState::kRunning) {
+        running.emplace_back(rec.id, static_cast<size_t>(rec.stream_index));
+      }
+    }
+  });
+  for (auto [id, v] : running) {
     if (v >= fleet_->num_streams()) continue;
     const core::IngestionEngine* engine = fleet_->engine(v);
     const Status& status = fleet_->stream_status(v);
@@ -328,13 +351,13 @@ void Server::HarvestFinished() {
       Status removed = fleet_->RemoveStream(v);
       (void)removed;
       tenants_[v] = StreamTenant{};
-      registry_.MarkDone(rec.id, std::move(result));
+      registry_.MarkDone(id, std::move(result));
     } else if (!status.ok()) {
       Status error = status;
       Status removed = fleet_->RemoveStream(v);
       (void)removed;
       tenants_[v] = StreamTenant{};
-      registry_.MarkFailed(rec.id, error);
+      registry_.MarkFailed(id, error);
     }
   }
 }
@@ -348,7 +371,7 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   // The joint planner's feasibility threshold, checked before the stream
   // ever joins: all-cheapest fleet cost plus the newcomer's cheapest config
   // must fit the pooled budget, or the next boundary would be infeasible.
-  if (shared_budget_ > 0.0 && fleet_ != nullptr) {
+  if (shared_budget_ > 0.0) {
     double projected =
         fleet_->CheapestFleetCostCoreSPerVideoS() + NewcomerCheapestCost();
     if (projected > shared_budget_) {
@@ -368,20 +391,6 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
     ++sessions_rejected_;
     return job.status();
   }
-
-  if (fleet_ == nullptr) {
-    core::StreamSetOptions set_opts;
-    set_opts.planning = core::MultiStreamPlanning::kJoint;
-    set_opts.shared_budget_core_s_per_video_s = shared_budget_;
-    set_opts.max_stream_restarts = options_.max_stream_restarts;
-    auto fleet = core::StreamSet::Create({}, set_opts);
-    if (!fleet.ok()) {
-      ++sessions_rejected_;
-      return fleet.status();
-    }
-    fleet_ = std::make_unique<core::StreamSet>(std::move(*fleet));
-  }
-
   auto slot = fleet_->AddStream(*job);
   if (!slot.ok()) {
     ++sessions_rejected_;
@@ -391,7 +400,6 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   tenants_[*slot] = std::move(tenant);
   uint64_t id = registry_.Add(spec, *slot);
   ++sessions_accepted_;
-  queue_cv_.notify_all();  // may release a start_after_sessions hold
 
   std::string payload;
   io::wire::PutU64(&payload, id);
@@ -399,135 +407,151 @@ Result<std::string> Server::Admit(const SessionSpec& spec) {
   return payload;
 }
 
-void Server::ServiceBoundaryCommand(Command* cmd) {
-  switch (cmd->kind) {
+Result<std::string> Server::ServiceCommand(const Command& cmd) {
+  switch (cmd.kind) {
     case Command::Kind::kOpen:
-      cmd->reply.set_value(Admit(cmd->spec));
-      return;
+      return Admit(cmd.spec);
     case Command::Kind::kClose: {
-      auto slot = registry_.StreamIndexOf(cmd->session_id);
-      if (!slot.ok()) {
-        cmd->reply.set_value(slot.status());
-        return;
-      }
-      Status removed = fleet_->RemoveStream(*slot);
-      if (!removed.ok()) {
-        cmd->reply.set_value(removed);
-        return;
-      }
-      tenants_[*slot] = StreamTenant{};
+      SKY_ASSIGN_OR_RETURN(uint64_t slot,
+                           registry_.StreamIndexOf(cmd.session_id));
+      SKY_RETURN_NOT_OK(fleet_->RemoveStream(slot));
+      tenants_[slot] = StreamTenant{};
       registry_.MarkFailed(
-          cmd->session_id,
+          cmd.session_id,
           Status::FailedPrecondition("session closed by client request"));
-      cmd->reply.set_value(std::string());
-      return;
+      return std::string();
     }
     case Command::Kind::kReconfig: {
-      auto slot = registry_.StreamIndexOf(cmd->session_id);
-      if (!slot.ok()) {
-        cmd->reply.set_value(slot.status());
-        return;
-      }
-      Status applied = fleet_->ReconfigureStream(*slot, cmd->reconfig);
-      if (!applied.ok()) {
-        cmd->reply.set_value(applied);
-        return;
-      }
-      cmd->reply.set_value(std::string());
-      return;
+      SKY_ASSIGN_OR_RETURN(uint64_t slot,
+                           registry_.StreamIndexOf(cmd.session_id));
+      SKY_RETURN_NOT_OK(fleet_->ReconfigureStream(slot, cmd.reconfig));
+      return std::string();
     }
     case Command::Kind::kSetBudget:
-      shared_budget_ = cmd->budget;
-      if (fleet_ != nullptr) fleet_->set_shared_budget(cmd->budget);
-      cmd->reply.set_value(std::string());
-      return;
+      shared_budget_ = cmd.budget;
+      fleet_->set_shared_budget(cmd.budget);
+      return std::string();
     case Command::Kind::kDrain:
       // The flag was already set when the command was enqueued; the reply
       // acknowledges that the drain boundary has been reached. The final
-      // checkpoint is written right after this command is serviced, before
-      // the fleet loop exits — a client that wants a durable handoff should
+      // checkpoint is written right after the window's replies, before the
+      // fleet loop exits — a client that wants a durable handoff should
       // still wait for the process to exit (the CLI does).
-      cmd->reply.set_value(std::string());
-      return;
-    case Command::Kind::kMetrics:
-      cmd->reply.set_value(CollectMetricsJson());
-      return;
+      return std::string();
   }
+  return Status::Internal("unknown command");
 }
 
-std::string Server::CollectMetricsJson() {
+void Server::PublishStats() {
+  const std::vector<double>& ms = fleet_->boundary_latencies_ms();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.sessions_accepted = sessions_accepted_;
+  stats_.sessions_rejected = sessions_rejected_;
+  stats_.shared_budget_core_s_per_video_s = shared_budget_;
+  stats_.cheapest_fleet_cost_core_s_per_video_s =
+      fleet_->CheapestFleetCostCoreSPerVideoS();
+  stats_.fleet_restarts = fleet_->total_restarts();
+  // The latency history only grows: append what is new since the last
+  // window instead of copying it all.
+  stats_.boundary_ms.insert(stats_.boundary_ms.end(),
+                            ms.begin() + stats_.boundary_ms.size(), ms.end());
+}
+
+std::string Server::CollectMetricsJson() const {
   ServerMetrics m;
   m.uptime_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              started_at_)
                    .count();
-  m.sessions_accepted = sessions_accepted_;
-  m.sessions_rejected = sessions_rejected_;
-  m.sessions = registry_.Snapshot();
-  for (const SessionRecord& rec : m.sessions) {
-    switch (rec.state) {
-      case SessionState::kRunning: ++m.sessions_running; break;
-      case SessionState::kDone: ++m.sessions_done; break;
-      case SessionState::kFailed: ++m.sessions_failed; break;
-    }
-  }
-  m.shared_budget_core_s_per_video_s = shared_budget_;
-  if (fleet_ != nullptr) {
-    const std::vector<double>& ms = fleet_->boundary_latencies_ms();
-    m.boundaries_planned = ms.size();
-    m.boundary_p50_ms = Percentile(ms, 50.0);
-    m.boundary_p99_ms = Percentile(ms, 99.0);
+  std::vector<double> boundary_ms;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    m.sessions_accepted = stats_.sessions_accepted;
+    m.sessions_rejected = stats_.sessions_rejected;
+    m.shared_budget_core_s_per_video_s =
+        stats_.shared_budget_core_s_per_video_s;
     m.cheapest_fleet_cost_core_s_per_video_s =
-        fleet_->CheapestFleetCostCoreSPerVideoS();
-    m.fleet_restarts = fleet_->total_restarts();
+        stats_.cheapest_fleet_cost_core_s_per_video_s;
+    m.fleet_restarts = stats_.fleet_restarts;
+    boundary_ms = stats_.boundary_ms;
   }
-  return RenderMetricsJson(m);
+  m.boundaries_planned = boundary_ms.size();
+  m.boundary_p50_ms = Percentile(boundary_ms, 50.0);
+  m.boundary_p99_ms = Percentile(boundary_ms, 99.0);
+  std::string json;
+  registry_.Visit([&](const std::vector<SessionRecord>& records) {
+    m.sessions = &records;
+    json = RenderMetricsJson(m);
+  });
+  return json;
 }
 
 Status Server::WriteServeCheckpoint() {
-  ServeCheckpoint ckpt;
-  ckpt.sessions = registry_.Snapshot();
-  for (const SessionRecord& rec : ckpt.sessions) {
-    ckpt.next_session_id = std::max(ckpt.next_session_id, rec.id + 1);
-  }
-  ckpt.sessions_accepted = sessions_accepted_;
-  ckpt.sessions_rejected = sessions_rejected_;
-  ckpt.shared_budget_core_s_per_video_s = shared_budget_;
-  if (fleet_ != nullptr) {
-    io::FleetCheckpoint fleet_ckpt;
-    SKY_RETURN_NOT_OK(fleet_->CaptureCheckpoint(&fleet_ckpt));
-    SKY_RETURN_NOT_OK(
-        io::SerializeFleetCheckpoint(fleet_ckpt, &ckpt.fleet_bytes));
-  } else {
-    // An empty fleet still checkpoints (counters + terminal sessions):
-    // serialize a zero-stream fleet so recovery has valid bytes to parse.
-    SKY_RETURN_NOT_OK(
-        io::SerializeFleetCheckpoint(io::FleetCheckpoint{}, &ckpt.fleet_bytes));
-  }
-  return SaveServeCheckpoint(ckpt, options_.checkpoint_path);
+  checkpoint_buffer_.clear();
+  io::wire::Writer w(&checkpoint_buffer_);
+  Status written;
+  registry_.Visit([&](const std::vector<SessionRecord>& records) {
+    ServeCheckpointMeta meta;
+    for (const SessionRecord& rec : records) {
+      meta.next_session_id = std::max(meta.next_session_id, rec.id + 1);
+    }
+    meta.sessions_accepted = sessions_accepted_;
+    meta.sessions_rejected = sessions_rejected_;
+    meta.shared_budget_core_s_per_video_s = shared_budget_;
+    written = AppendServeCheckpoint(
+        meta, records,
+        [this](io::wire::Writer* fleet) {
+          return fleet_->AppendCheckpoint(fleet);
+        },
+        &w);
+  });
+  SKY_RETURN_NOT_OK(written);
+  w.Finish();
+  return io::AtomicWriteFile(options_.checkpoint_path, checkpoint_buffer_);
 }
 
 // ---------------------------------------------------------------------------
 // Network threads.
 
 void Server::ListenLoop() {
-  for (;;) {
-    if (stop_.load() || finished_.load()) break;
+  while (!stop_.load() && !finished_.load()) {
+    ReapConnections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, kAcceptPollMs);
     if (ready <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+    if (fd < 0) {
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        std::this_thread::sleep_for(kAcceptBackoff);
+      }
+      continue;
+    }
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stop_.load()) {
       ::close(fd);
       break;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { Connection(fd); });
+    Conn& conn = conns_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, c = &conn] { Connection(c); });
   }
 }
 
-void Server::Connection(int fd) {
+void Server::ReapConnections() {
+  std::list<Conn> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), conns_, it);
+      it = next;
+    }
+  }
+  for (Conn& c : finished) c.thread.join();
+}
+
+void Server::Connection(Conn* conn) {
+  const int fd = conn->fd;
   for (;;) {
     Frame request;
     Status read = ReadFrame(fd, &request);
@@ -535,8 +559,11 @@ void Server::Connection(int fd) {
     auto [type, payload] = HandleRequest(request);
     if (!WriteFrame(fd, type, payload).ok()) break;
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed in Wait(), which owns conn_fds_.
+  // Closed under conn_mu_, so Wait() never shuts down a reused fd number.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  ::close(fd);
+  conn->fd = -1;
+  conn->done = true;
 }
 
 std::pair<FrameType, std::string> Server::HandleRequest(
@@ -610,12 +637,8 @@ std::pair<FrameType, std::string> Server::HandleRequest(
     }
 
     case FrameType::kMetrics: {
-      auto cmd = std::make_unique<Command>();
-      cmd->kind = Command::Kind::kMetrics;
-      Result<std::string> json = Dispatch(std::move(cmd));
-      if (!json.ok()) return error(json.status());
       std::string payload;
-      io::wire::PutString(&payload, *json);
+      io::wire::PutString(&payload, CollectMetricsJson());
       return {FrameType::kMetricsReport, std::move(payload)};
     }
 
@@ -657,23 +680,17 @@ Status Server::Wait() {
   // out of ReadFrame and exit.
   stop_.store(true);
   if (listen_thread_.joinable()) listen_thread_.join();
+  std::list<Conn> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (Conn& c : conns_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    }
+    // Splicing keeps every Conn at its address for its still-running
+    // thread.
+    conns.splice(conns.end(), conns_);
   }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::close(fd);
-    conn_fds_.clear();
-  }
+  for (Conn& c : conns) c.thread.join();
   if (!joined_ && listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

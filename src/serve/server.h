@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "api/skyscraper.h"
 #include "core/multi_stream.h"
+#include "dag/thread_pool.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -67,28 +69,43 @@ struct ServerOptions {
   /// counters carry over. The checkpoint's shared budget wins over the
   /// shared_budget option.
   std::string recover_path;
+  /// Threads that step the fleet, the fleet thread included; 0 = the
+  /// hardware concurrency. Results are bitwise the same at any count; the
+  /// knob exists to cap a daemon's CPU on a shared host. At most
+  /// kMaxServerWorkers.
+  size_t workers = 0;
 };
+
+/// Upper bound on ServerOptions::workers (a typo must not start thousands
+/// of threads).
+inline constexpr size_t kMaxServerWorkers = 256;
 
 /// The `sky serve` daemon: accepts stream sessions over a local TCP socket
 /// (serve/protocol.h frames), multiplexes them onto ONE core::StreamSet
 /// with joint planning under the pooled budget, and services admission,
 /// live reconfiguration, metrics, and graceful drain.
 ///
-/// Threading model — three kinds of threads, strict ownership:
-///  - ONE fleet thread owns the StreamSet, the per-session simulation
-///    objects, and every counter; it alone steps engines. Membership and
-///    knob commands queue up and are applied only at lockstep plan
-///    boundaries (the single-threaded window where they are deterministic);
-///    metrics and drain requests are picked up every loop iteration.
-///  - One listener thread accepts connections.
-///  - One thread per connection parses request frames, enqueues commands,
-///    and blocks on the reply future (or the session registry, for
-///    kFetchResult). The registry is the only state connection threads
-///    share with the fleet thread directly, and it carries its own lock.
-///
-/// The fleet steps engines serially (StreamSet::Step), which keeps served
-/// results bitwise-identical to the Step()-driven in-process reference;
-/// fanning intervals out on a pool inside serve mode is a ROADMAP item.
+/// Threading model:
+///  - The fleet thread runs StreamSet::RunToCompletion on a pool the server
+///    owns (ServerOptions::workers threads in all, itself included): the
+///    same sharded barrier scheduler as an in-process fleet, so served
+///    results are bitwise-identical to it at any worker count. The fleet
+///    thread itself only waits while there is nothing to step.
+///  - Everything else the fleet needs happens in the barrier's single-
+///    threaded window, through RunToCompletion's boundary hook, on whichever
+///    fleet worker leads that barrier: harvesting finished sessions,
+///    the queued membership / knob / drain commands, publishing the
+///    fleet-stats snapshot, and the periodic checkpoint (serialized straight
+///    from the live engines into one reused buffer). The window is the only
+///    place that touches the StreamSet, the per-session workloads and the
+///    counters, so none of them needs a lock. Every session's job runs on
+///    the one served model.
+///  - One listener thread accepts connections; one thread per connection
+///    parses request frames, enqueues commands and blocks on the reply
+///    future (or the registry, for kFetchResult). Metrics never wait for a
+///    boundary: a connection thread renders them from the session registry
+///    and the fleet-stats snapshot, each behind its own mutex. A finished
+///    connection closes its fd and the listener reaps its thread.
 class Server {
  public:
   /// Binds, (optionally) recovers, and starts all threads. On success the
@@ -120,25 +137,24 @@ class Server {
  private:
   struct StreamTenant {
     std::unique_ptr<core::Workload> workload;
-    std::unique_ptr<api::Skyscraper> facade;
   };
 
+  /// A request only the boundary window can serve.
   struct Command {
     enum class Kind : uint8_t {
-      kOpen,       // boundary: admit spec -> payload u64 id, u64 slot
-      kClose,      // boundary: retire session_id
-      kReconfig,   // boundary: apply reconfig to session_id
-      kSetBudget,  // boundary: replace the shared budget
-      kMetrics,    // anytime: payload = metrics JSON
-      kDrain,      // boundary: checkpoint + exit
+      kOpen,       // admit spec -> payload u64 id, u64 slot
+      kClose,      // retire session_id
+      kReconfig,   // apply reconfig to session_id
+      kSetBudget,  // replace the shared budget
+      kDrain,      // checkpoint + exit
     };
-    Kind kind = Kind::kMetrics;
+    Kind kind = Kind::kDrain;
     SessionSpec spec;
     uint64_t session_id = 0;
     core::StreamReconfig reconfig;
     double budget = 0.0;
-    /// Fulfilled by the fleet thread with the encoded success-reply payload
-    /// (or the rejection Status).
+    /// Fulfilled by the boundary window with the encoded success-reply
+    /// payload (or the rejection Status).
     std::promise<Result<std::string>> reply;
   };
 
@@ -148,8 +164,8 @@ class Server {
   Status Init();
   Status RecoverFromServeCheckpoint();
 
-  /// Builds one admitted session's simulation: workload instance, facade
-  /// with the served model loaded, and the resolved StreamEngineJob.
+  /// Builds one admitted session's simulation: its workload instance and
+  /// the resolved StreamEngineJob, on the served model.
   Result<core::StreamEngineJob> BuildJob(const SessionSpec& spec,
                                          StreamTenant* tenant) const;
 
@@ -157,11 +173,40 @@ class Server {
   /// all-cheapest cost admission control charges a newcomer.
   double NewcomerCheapestCost() const;
 
+  /// What a metrics reply reads besides the registry: published by the
+  /// boundary window under stats_mu_, read by connection threads.
+  struct FleetStats {
+    uint64_t sessions_accepted = 0;
+    uint64_t sessions_rejected = 0;
+    double shared_budget_core_s_per_video_s = 0.0;
+    double cheapest_fleet_cost_core_s_per_video_s = 0.0;
+    uint64_t fleet_restarts = 0;
+    /// Every joint boundary's latency so far, appended as they are planned.
+    std::vector<double> boundary_ms;
+  };
+
+  /// A finished connection closes its fd and sets `done`; the listener
+  /// joins its thread. Both fields are guarded by conn_mu_.
+  struct Conn {
+    int fd = -1;  ///< -1 once closed
+    bool done = false;
+    std::thread thread;
+  };
+
+  /// Idles until there is a command, a drain, or a fleet to step, then
+  /// runs the fleet on the pool with BoundaryWindow as its hook.
   void FleetLoop();
+  /// The boundary hook: harvest, commands, stats, drain and the periodic
+  /// checkpoint. Returns false to stop stepping (nothing to step, or a
+  /// drain); sets *exit when the fleet loop should end. A hard stop needs
+  /// no window: RunToCompletion's cancel flag is stop_.
+  bool BoundaryWindow(bool* exit, Status* terminal);
+  bool CanStep() const;
   void HarvestFinished();
   Result<std::string> Admit(const SessionSpec& spec);
-  void ServiceBoundaryCommand(Command* cmd);
-  std::string CollectMetricsJson();
+  Result<std::string> ServiceCommand(const Command& cmd);
+  void PublishStats();
+  std::string CollectMetricsJson() const;
   Status WriteServeCheckpoint();
 
   /// Enqueues a command for the fleet thread and blocks on its reply.
@@ -169,7 +214,9 @@ class Server {
   Result<std::string> Dispatch(std::unique_ptr<Command> cmd);
 
   void ListenLoop();
-  void Connection(int fd);
+  void Connection(Conn* conn);
+  /// Joins the threads of finished connections.
+  void ReapConnections();
   /// Handles one request frame; returns the reply (type, payload).
   std::pair<FrameType, std::string> HandleRequest(const Frame& request);
 
@@ -178,12 +225,14 @@ class Server {
   int port_ = 0;
   std::chrono::steady_clock::time_point started_at_;
 
-  /// The served model, loaded once: resolves spec defaults and prices
-  /// admission. Sessions load their own facade-owned copies.
+  /// The served model, loaded once: resolves spec defaults, prices
+  /// admission, and is the model of every session's job. It is immutable
+  /// while engines run (each engine copies the forecaster it updates), so
+  /// the fleet's workers share it as an in-process fleet does.
   std::unique_ptr<core::Workload> base_workload_;
   std::unique_ptr<api::Skyscraper> base_facade_;
 
-  // --- Fleet-thread-owned state (no lock; see threading model) ---
+  // --- Boundary-window state (no lock; see threading model) ---
   std::unique_ptr<core::StreamSet> fleet_;
   std::vector<StreamTenant> tenants_;  ///< slot-parallel to the fleet
   uint64_t sessions_accepted_ = 0;
@@ -192,6 +241,13 @@ class Server {
   double shared_budget_ = 0.0;
   Status fleet_status_;
   Status last_checkpoint_status_;
+  std::string checkpoint_buffer_;  ///< reused by every serve checkpoint
+
+  /// Fleet workers beyond the fleet thread (null when workers == 1).
+  std::unique_ptr<dag::ThreadPool> pool_;
+
+  mutable std::mutex stats_mu_;
+  FleetStats stats_;
 
   SessionRegistry registry_;
 
@@ -207,8 +263,7 @@ class Server {
   std::thread fleet_thread_;
   std::thread listen_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::list<Conn> conns_;  ///< a list: a Conn never moves while it runs
   bool joined_ = false;
 };
 

@@ -11,15 +11,31 @@
 //    in-flight session bitwise on a second server;
 //  - metrics: the BENCH-style JSON document carries the counters;
 //  - wire protocol and serve-checkpoint formats round-trip exactly and
-//    refuse corruption.
+//    refuse corruption;
+//  - the served fleet runs on the barrier scheduler: results with a session
+//    admitted at a later boundary and a live reconfigure are bitwise equal
+//    to the in-process fleet at 1 and 4 workers, and the checkpoint written
+//    at a given boundary is byte-identical at both;
+//  - the one-pass checkpoint writer produces the bytes of the copying path
+//    it replaced (state copy, per-stream strings, payloads built apart);
+//  - connections: finished connections give back their fd and thread while
+//    the server runs, and the listener backs off when accept runs out of
+//    fds instead of spinning.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +46,7 @@
 #include "core/engine.h"
 #include "core/multi_stream.h"
 #include "io/checkpoint_io.h"
+#include "io/wire.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -625,6 +642,330 @@ TEST_F(ServeTest, MetricsDocumentCarriesTheCounters) {
   }
 
   ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+}
+
+// ---------------------------------------------------------------------------
+// The served fleet on the barrier scheduler.
+
+TEST_F(ServeTest, LateAdmissionAndLiveReconfigBitwiseAtWorkers1And4) {
+  // Sessions A and B start together (the clock is held for both); A is
+  // reconfigured and C admitted while the fleet runs, so both land at
+  // whatever boundary is current — and under load the client may lag the
+  // fleet by several intervals. The in-process reference makes the same
+  // two changes at boundaries j <= k of a Step()-driven fleet; the served
+  // results must equal the reference for some (j, k), at 1 and 4 workers.
+  auto spec = [](uint64_t seed, double days) {
+    SessionSpec s = SpecForSeed(seed);
+    s.duration_days = days;
+    return s;
+  };
+  const SessionSpec a_spec = spec(700, 1.0);  // 8 boundaries of 3 h
+  const SessionSpec b_spec = spec(701, 1.0);
+  const SessionSpec c_spec = spec(702, 0.5);
+  core::StreamReconfig cut;
+  cut.cloud_budget_usd_per_interval = 0.0;
+
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    const std::string label = std::to_string(workers) + " workers";
+    ServerOptions opts = BaseServerOptions();
+    opts.start_after_sessions = 2;
+    opts.workers = workers;
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = Client::Connect((*server)->port());
+    ASSERT_TRUE(client.ok());
+    auto a = client->OpenSession(a_spec);
+    auto b = client->OpenSession(b_spec);  // releases the hold
+    ASSERT_TRUE(a.ok() && b.ok()) << label;
+    ASSERT_TRUE(client->Reconfigure(a->first, cut).ok()) << label;
+    auto c = client->OpenSession(c_spec);
+    ASSERT_TRUE(c.ok()) << label;
+    EngineResult served[3];
+    uint64_t ids[3] = {a->first, b->first, c->first};
+    for (size_t i = 0; i < 3; ++i) {
+      auto result = client->FetchResult(ids[i]);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      served[i] = std::move(*result);
+    }
+    ASSERT_TRUE(client->Drain().ok());
+    EXPECT_TRUE((*server)->Wait().ok());
+
+    const double interval_s = Days(a_spec.plan_interval_days);
+    bool matched = false;
+    for (int j = 1; j <= 8 && !matched; ++j) {
+      for (int k = j; k <= 8 && !matched; ++k) {
+        std::vector<Tenant> tenants(3);
+        auto set = core::StreamSet::Create(
+            {MirrorJob(a_spec, &tenants[0]), MirrorJob(b_spec, &tenants[1])});
+        ASSERT_TRUE(set.ok());
+        ASSERT_TRUE(set->RunUntilElapsed(j * interval_s).ok());
+        ASSERT_TRUE(set->ReconfigureStream(0, cut).ok());
+        ASSERT_TRUE(set->RunUntilElapsed(k * interval_s).ok());
+        ASSERT_TRUE(set->AddStream(MirrorJob(c_spec, &tenants[2])).ok());
+        while (!set->Done()) ASSERT_TRUE(set->Step().ok());
+        auto ref = set->Results();
+        bool same = true;
+        for (size_t i = 0; i < 3; ++i) {
+          same = same && ref[i].ok() &&
+                 EngineResultsIdentical(*ref[i], served[i]);
+        }
+        matched = same;
+      }
+    }
+    EXPECT_TRUE(matched) << label
+                         << ": no boundary pair reproduces the served run";
+  }
+}
+
+TEST_F(ServeTest, CheckpointAtABoundaryIsByteIdenticalAtWorkers1And4) {
+  // Two 1-day sessions have 8 boundaries; a cadence of 5 writes exactly one
+  // periodic checkpoint, at the fifth. The hard stop after the results
+  // writes no final one, so the file holds that boundary's checkpoint.
+  std::string bytes[2];
+  const size_t worker_counts[2] = {1, 4};
+  for (size_t i = 0; i < 2; ++i) {
+    const std::string path = "/tmp/sky_serve_test_w" +
+                             std::to_string(worker_counts[i]) + "_ckpt.bin";
+    std::remove(path.c_str());
+    {
+      ServerOptions opts = BaseServerOptions();
+      opts.start_after_sessions = 2;
+      opts.checkpoint_path = path;
+      opts.checkpoint_every_boundaries = 5;
+      opts.workers = worker_counts[i];
+      auto server = Server::Start(opts);
+      ASSERT_TRUE(server.ok());
+      auto client = Client::Connect((*server)->port());
+      ASSERT_TRUE(client.ok());
+      std::vector<uint64_t> ids;
+      for (uint64_t seed : {710, 711}) {
+        SessionSpec spec = SpecForSeed(seed);
+        spec.duration_days = 1.0;
+        auto admitted = client->OpenSession(spec);
+        ASSERT_TRUE(admitted.ok());
+        ids.push_back(admitted->first);
+      }
+      for (uint64_t id : ids) ASSERT_TRUE(client->FetchResult(id).ok());
+    }  // ~Server: hard stop, no final checkpoint
+    auto read = io::wire::ReadFile(path, "serve checkpoint");
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    bytes[i] = std::move(*read);
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+  auto parsed = serve::ParseServeCheckpoint(bytes[0]);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->sessions.size(), 2u);
+}
+
+/// The copying path the one-pass writer replaced, spelled out as it was: an
+/// IngestState copy per started engine, serialized into its own string;
+/// every STRM payload built apart and copied into the container; the
+/// container checksummed over the finished bytes.
+std::string CopyingPathFleetBytes(const core::StreamSet& set) {
+  std::string out("SKYCKPT1", 8);
+  io::wire::PutU32(&out, io::kCheckpointFormatVersion);
+  io::wire::PutU32(&out, 0x01020304u);
+  {
+    std::string p;
+    io::wire::PutU64(&p, set.num_streams());
+    io::wire::PutChunk(&out, "META", p);
+  }
+  for (size_t v = 0; v < set.num_streams(); ++v) {
+    std::string state;
+    const core::IngestionEngine* engine = set.engine(v);
+    const bool has_state = engine != nullptr && engine->started();
+    if (has_state) {
+      auto snap = engine->Checkpoint();
+      EXPECT_TRUE(snap.ok());
+      EXPECT_TRUE(io::SerializeIngestState(*snap, &state).ok());
+      // The state's own trailer is the FNV-1a of everything before it.
+      uint64_t trailer = 0;
+      std::memcpy(&trailer, state.data() + state.size() - 8, 8);
+      EXPECT_EQ(trailer, io::wire::Fnv1a64(state.data(), state.size() - 8));
+    }
+    std::string p;
+    io::wire::PutU64(&p, v);
+    io::wire::PutStatus(&p, set.stream_status(v));
+    io::wire::PutU8(&p, has_state ? 1 : 0);
+    io::wire::PutString(&p, state);
+    io::wire::PutChunk(&out, "STRM", p);
+  }
+  const uint64_t sum = io::wire::Fnv1a64(out.data(), out.size());
+  io::wire::PutRaw(&out, "CSUM", 4);
+  io::wire::PutU64(&out, sizeof(sum));
+  io::wire::PutU64(&out, sum);
+  return out;
+}
+
+TEST_F(ServeTest, OnePassFleetWriterMatchesTheCopyingPath) {
+  // A traced three-stream fleet, one stream removed at the 3 h boundary,
+  // checkpointed mid-interval (4.5 h) and at the 6 h boundary.
+  std::vector<Tenant> tenants(3);
+  std::vector<core::StreamEngineJob> jobs;
+  for (size_t i = 0; i < 3; ++i) {
+    SessionSpec spec = SpecForSeed(720 + i);
+    spec.duration_days = 0.5;
+    jobs.push_back(MirrorJob(spec, &tenants[i]));
+  }
+  auto set = core::StreamSet::Create(std::move(jobs));
+  ASSERT_TRUE(set.ok());
+  ASSERT_TRUE(set->RunUntilElapsed(Hours(3)).ok());
+  ASSERT_TRUE(set->RemoveStream(1).ok());
+  const std::string path = "/tmp/sky_serve_test_onepass_ckpt.bin";
+  for (double hours : {4.5, 6.0}) {
+    ASSERT_TRUE(set->RunUntilElapsed(Hours(hours)).ok());
+    const std::string copied = CopyingPathFleetBytes(*set);
+
+    std::string one_pass = "prefix bytes stay";
+    io::wire::Writer w(&one_pass);
+    ASSERT_TRUE(set->AppendCheckpoint(&w).ok());
+    w.Finish();
+    EXPECT_EQ(one_pass.substr(0, 17), "prefix bytes stay");
+    EXPECT_EQ(one_pass.substr(17), copied) << hours << " h";
+
+    ASSERT_TRUE(set->SaveCheckpoint(path).ok());
+    auto saved = io::wire::ReadFile(path, "checkpoint");
+    ASSERT_TRUE(saved.ok());
+    EXPECT_EQ(*saved, copied) << hours << " h";
+
+    io::FleetCheckpoint captured;
+    ASSERT_TRUE(set->CaptureCheckpoint(&captured).ok());
+    std::string reserialized;
+    ASSERT_TRUE(io::SerializeFleetCheckpoint(captured, &reserialized).ok());
+    EXPECT_EQ(reserialized, copied) << hours << " h";
+
+    // Embedded in a serve checkpoint, the fleet container keeps its bytes.
+    serve::ServeCheckpoint serve_ckpt;
+    serve_ckpt.fleet_bytes = copied;
+    std::string from_copy;
+    ASSERT_TRUE(serve::SerializeServeCheckpoint(serve_ckpt, &from_copy).ok());
+    std::string in_place;
+    io::wire::Writer sw(&in_place);
+    ASSERT_TRUE(serve::AppendServeCheckpoint(
+                    serve_ckpt, {},
+                    [&](io::wire::Writer* fw) {
+                      return set->AppendCheckpoint(fw);
+                    },
+                    &sw)
+                    .ok());
+    sw.Finish();
+    EXPECT_EQ(in_place, from_copy) << hours << " h";
+  }
+  std::remove(path.c_str());
+
+  // A parsed file's state bytes are written back verbatim, even beside a
+  // clear has-state flag.
+  io::FleetCheckpoint odd;
+  odd.streams.resize(1);
+  odd.streams[0].state = "not a state";
+  std::string odd_bytes;
+  ASSERT_TRUE(io::SerializeFleetCheckpoint(odd, &odd_bytes).ok());
+  auto reparsed = io::ParseFleetCheckpoint(odd_bytes);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_FALSE(reparsed->streams[0].has_state);
+  EXPECT_EQ(reparsed->streams[0].state, "not a state");
+}
+
+// ---------------------------------------------------------------------------
+// Connection resources.
+
+size_t CountDirEntries(const char* dir) {
+  size_t n = 0;
+  DIR* d = ::opendir(dir);
+  if (d == nullptr) return 0;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(d);
+  return n;
+}
+
+TEST_F(ServeTest, FinishedConnectionsReturnTheirFdAndThread) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 1;  // hold the clock: an idle server
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(Client::Connect((*server)->port())->Metrics().ok());
+  // The listener reaps finished threads on its next poll (<= 200 ms).
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const size_t fds = CountDirEntries("/proc/self/fd");
+  const size_t threads = CountDirEntries("/proc/self/task");
+  auto settle = [](size_t limit, const char* dir) {
+    size_t n = CountDirEntries(dir);
+    for (int i = 0; i < 50 && n > limit; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      n = CountDirEntries(dir);
+    }
+    return n;
+  };
+
+  for (int i = 0; i < 300; ++i) {
+    auto client = Client::Connect((*server)->port());
+    ASSERT_TRUE(client.ok()) << "connection " << i;
+    ASSERT_TRUE(client->Metrics().ok()) << "connection " << i;
+  }
+  EXPECT_LE(settle(fds + 2, "/proc/self/fd"), fds + 2);
+  EXPECT_LE(settle(threads + 2, "/proc/self/task"), threads + 2);
+
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(client->Metrics().ok());
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+TEST_F(ServeTest, ListenerBacksOffWhenAcceptRunsOutOfFds) {
+  ServerOptions opts = BaseServerOptions();
+  opts.start_after_sessions = 1;  // hold the clock: an idle server
+  opts.workers = 1;
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok());
+
+  // The client's socket exists before the limit drops; the server's accept
+  // then needs one more fd than the process may open.
+  int sock = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(sock, 0);
+  int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>((*server)->port()));
+  int connected =
+      ::connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_s = ProcessCpuSeconds() - cpu0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0);
+  // A listener retrying accept at once would burn the whole 300 ms.
+  EXPECT_LT(cpu_s, 0.15);
+
+  // Once fds are free again the queued connection is served.
+  std::string hello;
+  io::wire::PutU32(&hello, serve::kProtocolVersion);
+  ASSERT_TRUE(serve::WriteFrame(sock, FrameType::kHello, hello).ok());
+  Frame reply;
+  ASSERT_TRUE(serve::ReadFrame(sock, &reply).ok());
+  EXPECT_EQ(reply.type, FrameType::kHelloOk);
+  ::close(sock);
+  ASSERT_TRUE(Client::Connect((*server)->port())->Drain().ok());
   EXPECT_TRUE((*server)->Wait().ok());
 }
 

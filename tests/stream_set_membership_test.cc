@@ -12,10 +12,16 @@
 //  - boundary discipline: add/remove of a live stream anywhere else is
 //    kFailedPrecondition and leaves the fleet undisturbed;
 //  - CheapestFleetCostCoreSPerVideoS tracks membership — the admission
-//    threshold `sky serve` prices newcomers against.
+//    threshold `sky serve` prices newcomers against;
+//  - RunToCompletion's boundary hook: a stream admitted and a stream
+//    reconfigured in the hook's window finish bitwise-identical to the same
+//    changes made between Step() calls, at worker counts {1, 2, 4}; a hook
+//    that returns false, and a cancel flag, stop the run at a boundary from
+//    which a second RunToCompletion finishes bitwise.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -250,6 +256,112 @@ TEST_F(MembershipTest, MembershipChangesRefusedOffBoundary) {
     EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
         << "stream " << v;
   }
+}
+
+TEST_F(MembershipTest, BoundaryHookChangesMatchStepDrivenChanges) {
+  // Reference: {0, 1} stepped to the 2 h boundary, then stream 2 admitted
+  // and stream 0's cloud budget cut, then stepped to the end.
+  const StreamEngineJob newcomer = MakeJob(2, Days(3));
+  core::StreamReconfig cut;
+  cut.cloud_budget_usd_per_interval = 0.0;
+  auto reference = StreamSet::Create({MakeJob(0, Days(3)), MakeJob(1, Days(3))},
+                                     StreamSetOptions{});
+  ASSERT_TRUE(reference.ok());
+  RunToFirstBoundary(&*reference);
+  ASSERT_TRUE(reference->AddStream(newcomer).ok());
+  ASSERT_TRUE(reference->ReconfigureStream(0, cut).ok());
+  while (!reference->Done()) ASSERT_TRUE(reference->Step().ok());
+  auto ref_results = reference->Results();
+
+  auto expect_reference = [&](const StreamSet& set, const std::string& label) {
+    auto results = set.Results();
+    ASSERT_EQ(results.size(), kStreams) << label;
+    for (size_t v = 0; v < kStreams; ++v) {
+      ASSERT_TRUE(ref_results[v].ok() && results[v].ok())
+          << label << ", stream " << v;
+      EXPECT_TRUE(EngineResultsIdentical(*ref_results[v], *results[v]))
+          << label << ", stream " << v;
+    }
+  };
+
+  dag::ThreadPool pool_of_1(1);
+  dag::ThreadPool pool_of_3(3);
+  struct Case {
+    const char* label;
+    dag::ThreadPool* pool;
+  } cases[] = {{"1 worker", nullptr},
+               {"2 workers", &pool_of_1},
+               {"4 workers", &pool_of_3}};
+  for (const Case& c : cases) {
+    // The same changes from the hook: window 0 is the entry boundary,
+    // window 1 the 2 h boundary.
+    auto set = StreamSet::Create({MakeJob(0, Days(3)), MakeJob(1, Days(3))},
+                                 StreamSetOptions{});
+    ASSERT_TRUE(set.ok()) << c.label;
+    size_t window = 0;
+    Status admitted;
+    auto hook = [&] {
+      if (window++ == 1) {
+        admitted = set->AddStream(newcomer).status();
+        if (admitted.ok()) admitted = set->ReconfigureStream(0, cut);
+      }
+      return true;
+    };
+    ASSERT_TRUE(set->RunToCompletion(c.pool, hook).ok()) << c.label;
+    ASSERT_TRUE(admitted.ok()) << c.label << ": " << admitted.ToString();
+    expect_reference(*set, c.label);
+
+    // Stopped by the hook at the 4 h boundary, then finished by a second
+    // run without one.
+    auto stopped = StreamSet::Create(
+        {MakeJob(0, Days(3)), MakeJob(1, Days(3))}, StreamSetOptions{});
+    ASSERT_TRUE(stopped.ok());
+    window = 0;
+    auto stop_at_4h = [&] {
+      if (window == 1) {
+        admitted = stopped->AddStream(newcomer).status();
+        if (admitted.ok()) admitted = stopped->ReconfigureStream(0, cut);
+      }
+      return window++ < 2;
+    };
+    ASSERT_TRUE(stopped->RunToCompletion(c.pool, stop_at_4h).ok());
+    ASSERT_TRUE(admitted.ok()) << c.label;
+    EXPECT_FALSE(stopped->Done()) << c.label;
+    EXPECT_TRUE(stopped->AtLockstepBoundary()) << c.label;
+    ASSERT_TRUE(stopped->RunToCompletion(c.pool).ok()) << c.label;
+    expect_reference(*stopped, std::string(c.label) + ", stopped by hook");
+
+    // Cancelled in the 2 h window (after the changes): nothing more is
+    // stepped, and a second run finishes bitwise.
+    auto cancelled = StreamSet::Create(
+        {MakeJob(0, Days(3)), MakeJob(1, Days(3))}, StreamSetOptions{});
+    ASSERT_TRUE(cancelled.ok());
+    std::atomic<bool> cancel{false};
+    window = 0;
+    auto cancel_at_2h = [&] {
+      if (window++ == 1) {
+        admitted = cancelled->AddStream(newcomer).status();
+        if (admitted.ok()) admitted = cancelled->ReconfigureStream(0, cut);
+        cancel.store(true);
+      }
+      return true;
+    };
+    ASSERT_TRUE(cancelled->RunToCompletion(c.pool, cancel_at_2h, &cancel).ok());
+    ASSERT_TRUE(admitted.ok()) << c.label;
+    EXPECT_EQ(cancelled->engine(0)->next_segment_index(),
+              static_cast<int64_t>(Hours(2) / models_[0]->segment_seconds))
+        << c.label;
+    ASSERT_TRUE(cancelled->RunToCompletion(c.pool).ok()) << c.label;
+    expect_reference(*cancelled, std::string(c.label) + ", cancelled");
+  }
+
+  // Independent mode has no lockstep boundary for a hook.
+  StreamSetOptions independent;
+  independent.planning = core::MultiStreamPlanning::kIndependent;
+  auto set = StreamSet::Create({MakeJob(0, Days(3))}, independent);
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(set->RunToCompletion(nullptr, [] { return true; }).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(MembershipTest, CheapestFleetCostTracksMembership) {

@@ -148,6 +148,8 @@ under --recover.
   --checkpoint-every K  checkpoint every K plan boundaries  (default 1)
   --max-restarts R      supervised restarts per stream      (default 0)
   --recover PATH        resume every session from this serve checkpoint
+  --workers N           threads stepping the fleet, 0 = all cores, at most
+                        256; results are the same at any N  (default 0)
 )";
 
 constexpr const char kClientHelp[] =
@@ -229,6 +231,7 @@ struct Flags {
   size_t checkpoint_every = 1;
   size_t max_restarts = 0;
   std::string recover;
+  size_t workers = 0;
 
   // client flags
   std::optional<uint64_t> content_seed;
@@ -291,6 +294,7 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     else if (arg == "--checkpoint-every") f->checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--max-restarts") f->max_restarts = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--recover") f->recover = value;
+    else if (arg == "--workers") f->workers = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--content-seed") f->content_seed = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--trace-resolution-s") f->trace_resolution_s = std::atof(value.c_str());
     else if (arg == "--session") { f->session = std::strtoull(value.c_str(), nullptr, 10); f->session_set = true; }
@@ -533,6 +537,7 @@ int RunServe(const Flags& f) {
   opts.checkpoint_every_boundaries = f.checkpoint_every;
   opts.max_stream_restarts = f.max_restarts;
   opts.recover_path = f.recover;
+  opts.workers = f.workers;
 
   auto server = sky::serve::Server::Start(std::move(opts));
   if (!server.ok()) return Fail(server.status());
