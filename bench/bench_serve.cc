@@ -8,6 +8,10 @@
 //    interleaved reps, median of 5, at workers {1, 2, nproc}. GATED at
 //    nproc (the server's default): the serve layer may cost at most 10% on
 //    top of in-process. Served segments/s is printed per worker count.
+//  - checkpoint layer: the same fleet served at nproc with and without a
+//    checkpoint at every boundary (`sky serve --checkpoint-every 1`, the
+//    CLI default), interleaved reps; served segments/s with and without,
+//    and their ratio, tracked ungated.
 //  - recovery: time to rebuild a 64-stream fleet from its boundary
 //    checkpoint (StreamSet::RecoverFromCheckpoint), tracked ungated.
 //
@@ -15,6 +19,7 @@
 // overhead number for a wrong answer would be meaningless.
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +81,45 @@ sky::Result<sky::core::StreamEngineJob> MirrorJob(
   opts.trace_resolution_s = spec.trace_resolution_s;
   opts.work_budget_override = spec.work_budget_override;
   return tenant->facade->MakeStreamJob(sky::Days(spec.start_days), opts);
+}
+
+/// Serves `streams` sessions of `days` on `workers` threads, checkpointing
+/// to `checkpoint_path` at every boundary when it is non-empty, and fetches
+/// every result into `served`. Sessions are opened while the server holds
+/// the clock, and the returned wall time starts when the last open (which
+/// releases the hold) returns, so it measures the stepping loop: compute +
+/// boundary-window and frame overhead, not connection or model-load setup.
+sky::Result<double> ServeFleet(const sky::serve::ServerOptions& base,
+                               size_t streams, double days, size_t workers,
+                               const std::string& checkpoint_path,
+                               std::vector<sky::core::EngineResult>* served) {
+  using namespace sky;
+  serve::ServerOptions opts = base;
+  opts.start_after_sessions = streams;
+  opts.workers = workers;
+  if (!checkpoint_path.empty()) {
+    opts.checkpoint_path = checkpoint_path;
+    opts.checkpoint_every_boundaries = 1;
+  }
+  SKY_ASSIGN_OR_RETURN(auto server, serve::Server::Start(opts));
+  SKY_ASSIGN_OR_RETURN(auto client, serve::Client::Connect(server->port()));
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < streams; ++i) {
+    // Sequential opens from one client: slot i gets seed 200 + i.
+    SKY_ASSIGN_OR_RETURN(auto admitted,
+                         client.OpenSession(SpecForSeed(200 + i, days)));
+    ids.push_back(admitted.first);
+  }
+  bench::WallTimer t;  // the last open released the hold: stepping starts
+  served->clear();
+  for (uint64_t id : ids) {
+    SKY_ASSIGN_OR_RETURN(core::EngineResult result, client.FetchResult(id));
+    served->push_back(std::move(result));
+  }
+  const double wall = t.Seconds();
+  (void)client.Drain();
+  (void)server->Wait();
+  return wall;
 }
 
 }  // namespace
@@ -156,13 +200,10 @@ int main(int argc, char** argv) {
               kAdmissions, admission_p50, admission_p99);
 
   // --- Steady-state overhead: serve stack vs in-process, same workers -----
-  // Sessions are opened while the server holds the clock and the timer
-  // starts when the last open (which releases the hold) returns, so the
-  // measured window is the stepping loop: compute + boundary-window and
-  // frame overhead, not connection or model-load setup. The in-process
-  // mirror runs the same fleet through RunToCompletion on a pool of the
-  // same worker count — the scheduler the server steps on — so the ratio
-  // isolates the serve layer. Serve and in-process reps alternate.
+  // ServeFleet times the served stepping loop. The in-process mirror runs
+  // the same fleet through RunToCompletion on a pool of the same worker
+  // count — the scheduler the server steps on — so the ratio isolates the
+  // serve layer. Serve and in-process reps alternate.
   // 12 simulated days keep each measured window long enough (about 0.2 s
   // at 4 workers on a 4-vCPU VM) that scheduler noise does not dominate the
   // ratio.
@@ -181,56 +222,21 @@ int main(int argc, char** argv) {
     double segments = 0.0;
   };
   std::vector<Steady> steady;
+  std::vector<core::EngineResult> served;  // the latest served rep's
   for (size_t workers : worker_counts) {
     Steady st;
     st.workers = workers;
     std::unique_ptr<dag::ThreadPool> pool;
     if (workers > 1) pool = std::make_unique<dag::ThreadPool>(workers - 1);
     for (int rep = 0; rep < kReps; ++rep) {
-      std::vector<core::EngineResult> served(kStreams);
-      double serve_wall = 0.0;
-      {
-        serve::ServerOptions opts = base_opts;
-        opts.start_after_sessions = kStreams;
-        opts.workers = workers;
-        auto server = serve::Server::Start(opts);
-        if (!server.ok()) {
-          std::printf("server start failed: %s\n",
-                      server.status().ToString().c_str());
-          return 1;
-        }
-        auto client = serve::Client::Connect((*server)->port());
-        if (!client.ok()) {
-          std::printf("connect failed: %s\n",
-                      client.status().ToString().c_str());
-          return 1;
-        }
-        uint64_t ids[kStreams];
-        for (size_t i = 0; i < kStreams; ++i) {
-          // Sequential opens from one client: slot i gets seed 200 + i.
-          auto admitted =
-              client->OpenSession(SpecForSeed(200 + i, kDurationDays));
-          if (!admitted.ok()) {
-            std::printf("open failed: %s\n",
-                        admitted.status().ToString().c_str());
-            return 1;
-          }
-          ids[i] = admitted->first;
-        }
-        WallTimer t;  // the last open released the hold: stepping starts now
-        for (size_t i = 0; i < kStreams; ++i) {
-          auto result = client->FetchResult(ids[i]);
-          if (!result.ok()) {
-            std::printf("fetch failed: %s\n",
-                        result.status().ToString().c_str());
-            return 1;
-          }
-          served[i] = std::move(*result);
-        }
-        serve_wall = t.Seconds();
-        (void)client->Drain();
-        (void)(*server)->Wait();
+      auto served_wall = ServeFleet(base_opts, kStreams, kDurationDays,
+                                    workers, "", &served);
+      if (!served_wall.ok()) {
+        std::printf("serve failed: %s\n",
+                    served_wall.status().ToString().c_str());
+        return 1;
       }
+      const double serve_wall = *served_wall;
 
       std::vector<Tenant> tenants(kStreams);
       std::vector<core::StreamEngineJob> jobs;
@@ -295,6 +301,42 @@ int main(int argc, char** argv) {
   gate(ratio_median <= 1.10,
        "serve steady-state overhead within 10% of in-process");
 
+  // --- Checkpoint layer: served at nproc, with and without checkpoints ----
+  // A checkpoint at every boundary costs the window its serialization (the
+  // checksums and the disk run on the server's checkpoint-writer thread);
+  // the ratio tracks that layer's share. Reps alternate.
+  const std::string periodic_path =
+      (std::filesystem::temp_directory_path() / "bench_serve_periodic.ckpt")
+          .string();
+  const std::vector<core::EngineResult> reference = served;
+  std::vector<double> plain_walls, checkpointed_walls;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (bool checkpointed : {false, true}) {
+      auto wall = ServeFleet(base_opts, kStreams, kDurationDays, nproc,
+                             checkpointed ? periodic_path : "", &served);
+      if (!wall.ok()) {
+        std::printf("serve failed: %s\n", wall.status().ToString().c_str());
+        return 1;
+      }
+      bool same = served.size() == reference.size();
+      for (size_t i = 0; same && i < served.size(); ++i) {
+        same = core::EngineResultsIdentical(reference[i], served[i]);
+      }
+      gate(same, "checkpointed served results bitwise match");
+      (checkpointed ? checkpointed_walls : plain_walls).push_back(*wall);
+    }
+  }
+  std::remove(periodic_path.c_str());
+  const double segments = steady.back().segments;
+  const double plain_rate = segments / Percentile(plain_walls, 50.0);
+  const double checkpointed_rate =
+      segments / Percentile(checkpointed_walls, 50.0);
+  std::printf("checkpoint layer at %zu workers (median of %d, ungated): "
+              "%.0f segments/s served without checkpoints, %.0f with one "
+              "per boundary, ratio %.3f\n",
+              nproc, kReps, plain_rate, checkpointed_rate,
+              checkpointed_rate / plain_rate);
+
   // --- Recovery: 64-stream fleet from a boundary checkpoint ---------------
   constexpr size_t kRecoverStreams = 64;
   const std::string ckpt_path = "bench_serve_ckpt.bin";
@@ -350,6 +392,9 @@ int main(int argc, char** argv) {
     json.Set("served_segments_per_s" + w,
              st.segments / Percentile(st.serve_walls, 50.0));
   }
+  json.Set("served_segments_per_s_uncheckpointed", plain_rate);
+  json.Set("served_segments_per_s_checkpointed", checkpointed_rate);
+  json.Set("checkpointed_throughput_ratio", checkpointed_rate / plain_rate);
   json.Set("gate_workers", static_cast<double>(gated.workers));
   json.Set("serve_overhead_ratio_median", ratio_median);
   json.Set("overhead_gate", ratio_median <= 1.10 ? "pass" : "fail");

@@ -18,7 +18,9 @@
 # refreshed on every local check; all exit non-zero when a perf or parity
 # gate fails.
 # `--tsan` instead runs only the concurrency suite (thread pool, StreamSet
-# scheduler, sessions, kernel-dispatch first use) under ThreadSanitizer in a
+# scheduler, sessions, kernel-dispatch first use, the serve server's
+# threads, and the checkpoint-writer thread behind StreamSet
+# auto-checkpoints) under ThreadSanitizer in a
 # separate build-tsan tree and skips the benches: it is a race detector
 # pass, not a perf gate.
 # `--props` runs only the randomized property suites (property_test,
@@ -40,7 +42,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j
   cd build-tsan
   ctest --output-on-failure \
-    -R "thread_pool_test|stream_set_test|stream_set_parallel_test|stream_set_membership_test|session_test|kernels_test|serve_test" \
+    -R "thread_pool_test|stream_set_test|stream_set_parallel_test|stream_set_membership_test|session_test|kernels_test|serve_test|recovery_test" \
     -j
   echo "TSan concurrency suite passed"
   exit 0

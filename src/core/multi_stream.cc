@@ -335,18 +335,20 @@ Status StreamSet::CaptureCheckpoint(io::FleetCheckpoint* out) const {
   return Status::Ok();
 }
 
-Status StreamSet::WriteCheckpoint(const std::string& path,
-                                  std::string* buffer) const {
-  buffer->clear();
-  io::wire::Writer w(buffer);
+Status StreamSet::SaveCheckpoint(const std::string& path) const {
+  // An auto-checkpoint in flight to the same path would race this write
+  // for the temporary file, and must not land after it.
+  if (checkpoint_writer_ != nullptr) checkpoint_writer_->Flush();
+  std::string buffer;
+  io::wire::Writer w(&buffer);
   SKY_RETURN_NOT_OK(AppendCheckpoint(&w));
   w.Finish();
-  return io::AtomicWriteFile(path, *buffer);
+  return io::AtomicWriteFile(path, buffer);
 }
 
-Status StreamSet::SaveCheckpoint(const std::string& path) const {
-  std::string buffer;
-  return WriteCheckpoint(path, &buffer);
+Status StreamSet::last_checkpoint_status() const {
+  return checkpoint_writer_ == nullptr ? Status::Ok()
+                                       : checkpoint_writer_->Flush();
 }
 
 void StreamSet::CaptureBoundaryCheckpoint(size_t v) {
@@ -368,8 +370,16 @@ void StreamSet::MaybeAutoCheckpoint() {
   }
   // Auto-checkpointing is best-effort by design: a full disk must not kill
   // an otherwise healthy fleet. The failure is observable, never fatal.
-  last_checkpoint_status_ =
-      WriteCheckpoint(options_.checkpoint_path, &auto_checkpoint_buffer_);
+  if (checkpoint_writer_ == nullptr) {
+    checkpoint_writer_ = std::make_unique<io::CheckpointWriter>();
+  }
+  io::wire::Writer* w = checkpoint_writer_->Begin();
+  Status serialized = AppendCheckpoint(w);
+  if (serialized.ok()) {
+    checkpoint_writer_->Submit(options_.checkpoint_path);
+  } else {
+    checkpoint_writer_->Fail(serialized);
+  }
 }
 
 Status StreamSet::AdvanceStream(size_t v, int64_t target_index,
@@ -672,14 +682,19 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool,
     }
   };
 
+  // The run's last auto-checkpoint is on disk before it returns.
+  auto finish = [&] {
+    if (checkpoint_writer_ != nullptr) checkpoint_writer_->Flush();
+    return boundary_status;
+  };
   // The entry window runs on the calling thread before any worker starts,
   // so a run that stops there (a server with nothing to step yet) never
   // wakes the pool.
   coordinate();
-  if (stop.load()) return boundary_status;
+  if (stop.load()) return finish();
   if (workers == 1) {
     worker(0);
-    return boundary_status;
+    return finish();
   }
   std::vector<std::future<void>> joined;
   joined.reserve(workers - 1);
@@ -688,7 +703,7 @@ Status StreamSet::RunToCompletion(dag::ThreadPool* pool,
   }
   worker(0);
   for (std::future<void>& f : joined) f.get();
-  return boundary_status;
+  return finish();
 }
 
 std::vector<Result<EngineResult>> StreamSet::Results() const {

@@ -11,6 +11,7 @@
 #include "core/engine.h"
 #include "core/planner.h"
 #include "dag/thread_pool.h"
+#include "io/atomic_file.h"
 #include "io/checkpoint_io.h"
 #include "util/result.h"
 
@@ -148,9 +149,12 @@ struct StreamSetOptions {
   size_t max_stream_restarts = 0;
   /// When non-empty, the set writes a crash-consistent fleet checkpoint to
   /// this path (SaveCheckpoint's bytes, atomic temp-file + rename) every
-  /// `checkpoint_every_boundaries` lockstep plan boundaries, into one buffer
-  /// reused across boundaries. A failed write never fails the run; see
-  /// last_checkpoint_status().
+  /// `checkpoint_every_boundaries` lockstep plan boundaries. The boundary
+  /// only serializes the snapshot; an io::CheckpointWriter thread checksums
+  /// and writes it while the fleet steps on, one write in flight at most.
+  /// The file is settled when RunToCompletion returns, when
+  /// last_checkpoint_status() is read, and when the set is destroyed. A
+  /// failed write never fails the run; see last_checkpoint_status().
   std::string checkpoint_path;
   size_t checkpoint_every_boundaries = 0;
 };
@@ -328,7 +332,8 @@ class StreamSet {
   /// stream sits at the same virtual time, but callable anywhere.
   Status AppendCheckpoint(io::wire::Writer* w) const;
 
-  /// AppendCheckpoint written to `path`, atomically (temp file + rename).
+  /// AppendCheckpoint written to `path`, atomically (temp file + rename),
+  /// before it returns.
   Status SaveCheckpoint(const std::string& path) const;
 
   /// The same snapshot as an in-memory io::FleetCheckpoint (each started
@@ -336,12 +341,10 @@ class StreamSet {
   /// io::SerializeFleetCheckpoint of it equals AppendCheckpoint's bytes.
   Status CaptureCheckpoint(io::FleetCheckpoint* out) const;
 
-  /// Status of the most recent automatic checkpoint write (Ok when none has
-  /// been attempted). Auto-checkpoint failures are recorded here, never
-  /// propagated into the run.
-  const Status& last_checkpoint_status() const {
-    return last_checkpoint_status_;
-  }
+  /// Status of the most recent automatic checkpoint (Ok when none has been
+  /// attempted), after waiting for the one in flight. Auto-checkpoint
+  /// failures are recorded here, never propagated into the run.
+  Status last_checkpoint_status() const;
 
  private:
   explicit StreamSet(StreamSetOptions options) : options_(options) {}
@@ -370,13 +373,10 @@ class StreamSet {
   /// max_stream_restarts > 0.
   void CaptureBoundaryCheckpoint(size_t v);
 
-  /// Counts a planned boundary and, when configured, writes the periodic
-  /// fleet checkpoint (failures land in last_checkpoint_status_ only).
+  /// Counts a planned boundary and, when configured, serializes the
+  /// periodic fleet checkpoint and submits it to checkpoint_writer_
+  /// (failures land in last_checkpoint_status() only).
   void MaybeAutoCheckpoint();
-
-  /// AppendCheckpoint into `buffer` (cleared first, capacity kept), then the
-  /// atomic write to `path`.
-  Status WriteCheckpoint(const std::string& path, std::string* buffer) const;
 
   StreamSetOptions options_;
   std::vector<StreamEngineJob> jobs_;
@@ -387,8 +387,9 @@ class StreamSet {
   std::vector<std::unique_ptr<IngestState>> boundary_ckpts_;
   std::vector<size_t> restarts_used_;
   size_t boundaries_planned_ = 0;
-  Status last_checkpoint_status_;
-  std::string auto_checkpoint_buffer_;  ///< reused by every auto-checkpoint
+  /// Writes the auto-checkpoints; created at the first one. Held by pointer
+  /// so the set stays movable.
+  std::unique_ptr<io::CheckpointWriter> checkpoint_writer_;
   /// Warm incremental planner for joint boundaries.
   JointPlanner joint_planner_;
   std::vector<KnobPlan> joint_plans_;

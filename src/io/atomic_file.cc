@@ -1,6 +1,9 @@
 #include "io/atomic_file.h"
 
+#include <atomic>
 #include <cstdio>
+#include <exception>
+#include <utility>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -9,11 +12,12 @@
 namespace sky::io {
 
 namespace {
-AtomicWriteFaultHook g_fault_hook = nullptr;
+// Atomic: a CheckpointWriter's thread reads it.
+std::atomic<AtomicWriteFaultHook> g_fault_hook{nullptr};
 }  // namespace
 
 void SetAtomicWriteFaultHookForTest(AtomicWriteFaultHook hook) {
-  g_fault_hook = hook;
+  g_fault_hook.store(hook);
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
@@ -43,8 +47,8 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
     return fail("fsync failed for");
   }
 #endif
-  if (g_fault_hook != nullptr) {
-    Status injected = g_fault_hook(tmp);
+  if (AtomicWriteFaultHook hook = g_fault_hook.load(); hook != nullptr) {
+    Status injected = hook(tmp);
     if (!injected.ok()) {
       std::fclose(f);
       std::remove(tmp.c_str());
@@ -60,6 +64,83 @@ Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
     return Status::Internal("cannot rename " + tmp + " to " + path);
   }
   return Status::Ok();
+}
+
+CheckpointWriter::~CheckpointWriter() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  // The thread writes what is pending before it sees stop_.
+  if (thread_.joinable()) thread_.join();
+}
+
+wire::Writer* CheckpointWriter::Begin() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !pending_; });
+  writer_.Reset();
+  return &writer_;
+}
+
+void CheckpointWriter::Submit(std::string path) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    path_ = std::move(path);
+    pending_ = true;
+    if (!thread_.joinable()) thread_ = std::thread([this] { Loop(); });
+  }
+  cv_.notify_all();
+}
+
+void CheckpointWriter::Fail(const Status& error) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Record(error);
+}
+
+Status CheckpointWriter::Flush() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !pending_; });
+  return last_;
+}
+
+CheckpointWriter::Stats CheckpointWriter::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+void CheckpointWriter::Record(const Status& outcome) {
+  last_ = outcome;
+  if (outcome.ok()) {
+    ++stats_.written;
+  } else {
+    ++stats_.failed;
+    stats_.last_error = outcome;
+  }
+}
+
+void CheckpointWriter::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return pending_ || stop_; });
+    if (!pending_) return;
+    // The buffer and path are the thread's until pending_ clears, so the
+    // checksum sweep and the disk run without the lock: stats() readers
+    // are never held up by them.
+    lock.unlock();
+    Status written;
+    try {
+      writer_.Finish();
+      written = AtomicWriteFile(path_, buffer_);
+    } catch (const std::exception& e) {  // bad_alloc must not end the process
+      written = Status::Internal(std::string("checkpoint write failed: ") +
+                                 e.what());
+    }
+    lock.lock();
+    Record(written);
+    pending_ = false;
+    cv_.notify_all();
+  }
 }
 
 }  // namespace sky::io

@@ -288,6 +288,11 @@ void Writer::Finish() {
   slots_.clear();
 }
 
+void Writer::Reset() {
+  out_->clear();
+  slots_.clear();
+}
+
 Status ReadContainer(const std::string& bytes, const ContainerFormat& format,
                      const ChunkFn& chunk_fn) {
   const std::string what = format.what;

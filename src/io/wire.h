@@ -146,6 +146,10 @@ class Writer {
   /// Fills every checksum placeholder. Call once, after the last byte.
   void Finish();
 
+  /// Empties the buffer and drops any unfinished checksum placeholders,
+  /// keeping both capacities: the start of the next reused checkpoint.
+  void Reset();
+
  private:
   /// The FNV-1a-64 of out_[begin, end), to be stored at out_[at], at >= end.
   struct Slot {

@@ -155,6 +155,12 @@ std::string RenderMetricsJson(const ServerMetrics& m) {
   out.append(",\n  ");
   AppendU64(&out, "fleet_restarts", m.fleet_restarts);
   out.append(",\n  ");
+  AppendU64(&out, "checkpoints_written", m.checkpoints_written);
+  out.append(",\n  ");
+  AppendU64(&out, "checkpoint_failures", m.checkpoint_failures);
+  out.append(",\n  ");
+  AppendString(&out, "last_checkpoint_error", m.last_checkpoint_error);
+  out.append(",\n  ");
   AppendKey(&out, "sessions");
   out.append("[");
   for (size_t i = 0; i < sessions.size(); ++i) {

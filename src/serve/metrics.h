@@ -21,6 +21,11 @@ struct ServerMetrics {
   double shared_budget_core_s_per_video_s = 0.0;  ///< 0 = derived per boundary
   double cheapest_fleet_cost_core_s_per_video_s = 0.0;
   uint64_t fleet_restarts = 0;  ///< supervised restarts across the fleet
+  /// Periodic and drain checkpoints that reached the disk / that failed,
+  /// counted by the checkpoint writer as each write completes.
+  uint64_t checkpoints_written = 0;
+  uint64_t checkpoint_failures = 0;
+  std::string last_checkpoint_error;  ///< the latest failure; "" when none
   /// The registry's records, read in place (SessionRegistry::Visit).
   const std::vector<SessionRecord>* sessions = nullptr;
 };

@@ -251,6 +251,9 @@ void Server::FleetLoop() {
   }
 
   HarvestFinished();
+  // A periodic write may still be in flight (a hard stop, a failed run):
+  // settle the file before anyone can observe the fleet loop as finished.
+  (void)checkpoint_writer_.Flush();
   registry_.BeginDrain();
   {
     // Close the queue and fail any commands still in it — their connections
@@ -291,8 +294,11 @@ bool Server::BoundaryWindow(bool* exit, Status* terminal) {
   }
 
   if (drain) {
+    // The drain checkpoint is durable before the fleet loop exits: a
+    // failed final write is the server's terminal status.
     if (!options_.checkpoint_path.empty()) {
-      *terminal = WriteServeCheckpoint();
+      *terminal = SubmitServeCheckpoint();
+      if (terminal->ok()) *terminal = checkpoint_writer_.Flush();
     }
     *exit = true;
     return false;
@@ -301,13 +307,15 @@ bool Server::BoundaryWindow(bool* exit, Status* terminal) {
 
   // The serve checkpoint is taken in the window, BEFORE the boundary's plan
   // is installed, so a recovered server replays the boundary
-  // deterministically. Periodic checkpoint failures never fail the run
-  // (same contract as StreamSet auto-checkpoints); the final drain
-  // checkpoint does.
+  // deterministically. Only the serialization runs here; the writer thread
+  // checksums and writes it while the fleet steps on. Periodic checkpoint
+  // failures never fail the run (same contract as StreamSet
+  // auto-checkpoints) and show in the metrics; the final drain checkpoint
+  // does fail it.
   if (options_.checkpoint_every_boundaries > 0 &&
       !options_.checkpoint_path.empty() &&
       ++boundaries_seen_ % options_.checkpoint_every_boundaries == 0) {
-    last_checkpoint_status_ = WriteServeCheckpoint();
+    (void)SubmitServeCheckpoint();
   }
   return true;
 }
@@ -474,6 +482,10 @@ std::string Server::CollectMetricsJson() const {
     m.fleet_restarts = stats_.fleet_restarts;
     boundary_ms = stats_.boundary_ms;
   }
+  const io::CheckpointWriter::Stats ckpt = checkpoint_writer_.stats();
+  m.checkpoints_written = ckpt.written;
+  m.checkpoint_failures = ckpt.failed;
+  if (!ckpt.last_error.ok()) m.last_checkpoint_error = ckpt.last_error.ToString();
   m.boundaries_planned = boundary_ms.size();
   m.boundary_p50_ms = Percentile(boundary_ms, 50.0);
   m.boundary_p99_ms = Percentile(boundary_ms, 99.0);
@@ -485,9 +497,8 @@ std::string Server::CollectMetricsJson() const {
   return json;
 }
 
-Status Server::WriteServeCheckpoint() {
-  checkpoint_buffer_.clear();
-  io::wire::Writer w(&checkpoint_buffer_);
+Status Server::SubmitServeCheckpoint() {
+  io::wire::Writer* w = checkpoint_writer_.Begin();
   Status written;
   registry_.Visit([&](const std::vector<SessionRecord>& records) {
     ServeCheckpointMeta meta;
@@ -502,11 +513,14 @@ Status Server::WriteServeCheckpoint() {
         [this](io::wire::Writer* fleet) {
           return fleet_->AppendCheckpoint(fleet);
         },
-        &w);
+        w);
   });
-  SKY_RETURN_NOT_OK(written);
-  w.Finish();
-  return io::AtomicWriteFile(options_.checkpoint_path, checkpoint_buffer_);
+  if (!written.ok()) {
+    checkpoint_writer_.Fail(written);
+    return written;
+  }
+  checkpoint_writer_.Submit(options_.checkpoint_path);
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

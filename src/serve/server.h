@@ -17,6 +17,7 @@
 #include "api/skyscraper.h"
 #include "core/multi_stream.h"
 #include "dag/thread_pool.h"
+#include "io/atomic_file.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -95,11 +96,22 @@ inline constexpr size_t kMaxServerWorkers = 256;
 ///    threaded window, through RunToCompletion's boundary hook, on whichever
 ///    fleet worker leads that barrier: harvesting finished sessions,
 ///    the queued membership / knob / drain commands, publishing the
-///    fleet-stats snapshot, and the periodic checkpoint (serialized straight
-///    from the live engines into one reused buffer). The window is the only
-///    place that touches the StreamSet, the per-session workloads and the
-///    counters, so none of them needs a lock. Every session's job runs on
-///    the one served model.
+///    fleet-stats snapshot, and serializing the periodic checkpoint straight
+///    from the live engines into the checkpoint writer's one reused buffer.
+///    The window is the only place that touches the StreamSet, the
+///    per-session workloads and the counters, so none of them needs a lock.
+///    Every session's job runs on the one served model.
+///  - One checkpoint-writer thread (io::CheckpointWriter, started by the
+///    first checkpoint) checksums each serialized checkpoint and writes it
+///    (fsync + rename) while the fleet steps on. At most one write is in
+///    flight: the next window's checkpoint waits for it. So a kill -9
+///    recovers from the last *completed* checkpoint, at most one boundary
+///    older than the last window's, and it replays bitwise. Drain waits for
+///    its final checkpoint before the fleet loop exits, and a hard stop
+///    waits for the write in flight, so after Wait() or ~Server the file is
+///    the last checkpoint submitted. Write outcomes are counted in the
+///    metrics (checkpoints_written, checkpoint_failures,
+///    last_checkpoint_error).
 ///  - One listener thread accepts connections; one thread per connection
 ///    parses request frames, enqueues commands and blocks on the reply
 ///    future (or the registry, for kFetchResult). Metrics never wait for a
@@ -112,9 +124,9 @@ class Server {
   /// server is accepting connections on 127.0.0.1:port().
   static Result<std::unique_ptr<Server>> Start(ServerOptions options);
 
-  /// Hard stop: abandons in-flight work WITHOUT a final checkpoint, closes
-  /// the socket, joins every thread. Use RequestDrain() + Wait() for the
-  /// graceful path.
+  /// Hard stop: abandons in-flight work WITHOUT a final checkpoint (the
+  /// periodic write in flight, if any, still completes), closes the socket,
+  /// joins every thread. Use RequestDrain() + Wait() for the graceful path.
   ~Server();
 
   int port() const { return port_; }
@@ -207,7 +219,9 @@ class Server {
   Result<std::string> ServiceCommand(const Command& cmd);
   void PublishStats();
   std::string CollectMetricsJson() const;
-  Status WriteServeCheckpoint();
+  /// Serializes the serve checkpoint into checkpoint_writer_ and submits it
+  /// (a serialization failure is recorded there and returned).
+  Status SubmitServeCheckpoint();
 
   /// Enqueues a command for the fleet thread and blocks on its reply.
   /// Refuses (instead of hanging) once the fleet loop has closed the queue.
@@ -240,8 +254,9 @@ class Server {
   uint64_t boundaries_seen_ = 0;
   double shared_budget_ = 0.0;
   Status fleet_status_;
-  Status last_checkpoint_status_;
-  std::string checkpoint_buffer_;  ///< reused by every serve checkpoint
+  /// Periodic and drain checkpoints: serialized in the window, written on
+  /// its own thread. Its stats() feed the metrics from connection threads.
+  io::CheckpointWriter checkpoint_writer_;
 
   /// Fleet workers beyond the fleet thread (null when workers == 1).
   std::unique_ptr<dag::ThreadPool> pool_;

@@ -11,20 +11,26 @@
 //    burns its restart budget and quarantines without deadlocking anyone;
 //  - fleet checkpoints: SaveCheckpoint -> RecoverFromCheckpoint -> complete
 //    reproduces the uninterrupted fleet bitwise, and the periodic
-//    auto-checkpoint writes a loadable file during the run.
+//    auto-checkpoint writes a loadable file during the run;
+//  - auto-checkpoints are written off the stepping thread:
+//    last_checkpoint_status() waits for the write in flight and reports its
+//    failure, and the run stays bitwise.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/multi_stream.h"
 #include "core/offline.h"
 #include "dag/thread_pool.h"
+#include "io/atomic_file.h"
 #include "io/checkpoint_io.h"
 #include "sim/faults.h"
 #include "workloads/ev_counting.h"
@@ -394,6 +400,53 @@ TEST_F(RecoveryTest, AutoCheckpointWritesLoadableFleetSnapshots) {
     EXPECT_TRUE(EngineResultsIdentical(*reference[v], *own_results[v]))
         << "stream " << v;
   }
+  std::remove(path.c_str());
+}
+
+/// A disk that takes its time and then refuses the write.
+Status SlowFailingWrite(const std::string&) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  return Status::Internal("injected auto-checkpoint failure");
+}
+
+TEST_F(RecoveryTest, LastCheckpointStatusReportsAFailedAutoCheckpoint) {
+  auto reference = ReferenceResults();
+  const std::string path = testing::TempDir() + "fleet_auto_fail.ckpt";
+  std::remove(path.c_str());
+
+  StreamSetOptions options;
+  options.checkpoint_path = path;
+  options.checkpoint_every_boundaries = 1;
+  auto set = StreamSet::Create(MakeJobs(), options);
+  ASSERT_TRUE(set.ok());
+  io::SetAtomicWriteFaultHookForTest(&SlowFailingWrite);
+  // The first Step plans boundary 0 and submits its checkpoint; the write
+  // is still sleeping when Step returns, so only a status that waits for it
+  // can report the failure.
+  Status stepped = set->Step();
+  Status first = set->last_checkpoint_status();
+  io::SetAtomicWriteFaultHookForTest(nullptr);
+  ASSERT_TRUE(stepped.ok()) << stepped.ToString();
+  EXPECT_EQ(first.code(), StatusCode::kInternal) << first.ToString();
+  EXPECT_NE(first.message().find("injected auto-checkpoint failure"),
+            std::string::npos)
+      << first.ToString();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "a failed write must not publish the file";
+  if (f != nullptr) std::fclose(f);
+
+  // Later checkpoints succeed again, and the failure never touched the run.
+  ASSERT_TRUE(set->RunToCompletion(nullptr).ok());
+  EXPECT_TRUE(set->last_checkpoint_status().ok())
+      << set->last_checkpoint_status().ToString();
+  auto results = set->Results();
+  for (size_t v = 0; v < kStreams; ++v) {
+    ASSERT_TRUE(reference[v].ok() && results[v].ok()) << "stream " << v;
+    EXPECT_TRUE(EngineResultsIdentical(*reference[v], *results[v]))
+        << "stream " << v;
+  }
+  auto recovered = StreamSet::RecoverFromCheckpoint(MakeJobs(), path);
+  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -18,6 +18,11 @@
 //    at a given boundary is byte-identical at both;
 //  - the one-pass checkpoint writer produces the bytes of the copying path
 //    it replaced (state copy, per-stream strings, payloads built apart);
+//  - checkpoints are written on a background thread: a slow disk still gets
+//    every periodic checkpoint, one write in flight at most, with results
+//    bitwise at 1 and 4 workers; a drain under a slow disk recovers
+//    bitwise; a failed periodic write is counted in the metrics and leaves
+//    the run bitwise;
 //  - connections: finished connections give back their fd and thread while
 //    the server runs, and the listener backs off when accept runs out of
 //    fds instead of spinning.
@@ -32,6 +37,8 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +52,7 @@
 #include "api/workload_registry.h"
 #include "core/engine.h"
 #include "core/multi_stream.h"
+#include "io/atomic_file.h"
 #include "io/checkpoint_io.h"
 #include "io/wire.h"
 #include "serve/client.h"
@@ -65,6 +73,73 @@ using serve::ServerOptions;
 using serve::SessionSpec;
 
 constexpr char kModelPath[] = "/tmp/sky_serve_test_model.bin";
+
+// Fault hooks are plain function pointers, so what they count lives here.
+std::atomic<int> g_writes_in_flight{0};
+std::atomic<int> g_max_writes_in_flight{0};
+std::atomic<int> g_hook_calls{0};
+std::atomic<int> g_fail_call{-1};  ///< the 0-based hook call FailOneWrite fails
+std::atomic<int> g_write_ms{30};   ///< how long SlowWrite takes
+
+/// A disk that needs about 30 ms per checkpoint — longer than the served
+/// intervals below take to step, so every window finds a write in flight.
+Status SlowWrite(const std::string&) {
+  const int now = ++g_writes_in_flight;
+  int seen = g_max_writes_in_flight.load();
+  while (now > seen && !g_max_writes_in_flight.compare_exchange_weak(seen, now)) {
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(g_write_ms.load()));
+  --g_writes_in_flight;
+  return Status::Ok();
+}
+
+Status FailOneWrite(const std::string&) {
+  return g_hook_calls++ == g_fail_call.load()
+             ? Status::Internal("injected checkpoint write failure")
+             : Status::Ok();
+}
+
+/// Installs a write fault hook for one scope, counters reset.
+class ScopedWriteHook {
+ public:
+  explicit ScopedWriteHook(io::AtomicWriteFaultHook hook) {
+    g_writes_in_flight = 0;
+    g_max_writes_in_flight = 0;
+    g_hook_calls = 0;
+    g_write_ms = 30;
+    io::SetAtomicWriteFaultHookForTest(hook);
+  }
+  ~ScopedWriteHook() { io::SetAtomicWriteFaultHookForTest(nullptr); }
+  ScopedWriteHook(const ScopedWriteHook&) = delete;
+  ScopedWriteHook& operator=(const ScopedWriteHook&) = delete;
+};
+
+/// The unsigned counter `key` of a metrics document (0 when absent).
+uint64_t MetricU64(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  size_t pos = json.find(needle);
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+/// Polls metrics until `boundaries` boundaries are planned and that many
+/// periodic checkpoints have an outcome: results can be fetched before the
+/// last window publishes its stats, and while the writer is still on the
+/// last checkpoint. Returns the settled document ("" on a 10 s timeout).
+std::string SettledCheckpointMetrics(Client* client, uint64_t boundaries) {
+  for (int i = 0; i < 5000; ++i) {
+    auto metrics = client->Metrics();
+    if (!metrics.ok()) return std::string();
+    if (MetricU64(*metrics, "boundaries_planned") >= boundaries &&
+        MetricU64(*metrics, "checkpoints_written") +
+                MetricU64(*metrics, "checkpoint_failures") >=
+            boundaries) {
+      return *metrics;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return std::string();
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -165,6 +240,11 @@ class ServeTest : public ::testing::Test {
     }
     return cheapest;
   }
+
+  /// Drains a checkpointing server while its two 4-day sessions are
+  /// mid-run, recovers the drain checkpoint on a second server, and checks
+  /// both finish bitwise equal to the fleet that never stopped.
+  static void DrainMidRunAndRecover(const std::string& ckpt_path);
 };
 
 // ---------------------------------------------------------------------------
@@ -521,8 +601,7 @@ TEST_F(ServeTest, LiveReconfigureMatchesInProcessReconfigureStream) {
   EXPECT_TRUE((*server)->Wait().ok());
 }
 
-TEST_F(ServeTest, DrainCheckpointRecoverFinishesEverySessionBitwise) {
-  const std::string ckpt_path = "/tmp/sky_serve_test_drain_ckpt.bin";
+void ServeTest::DrainMidRunAndRecover(const std::string& ckpt_path) {
   std::remove(ckpt_path.c_str());
   constexpr size_t kSessions = 2;
 
@@ -617,6 +696,19 @@ TEST_F(ServeTest, DrainCheckpointRecoverFinishesEverySessionBitwise) {
   std::remove(ckpt_path.c_str());
 }
 
+TEST_F(ServeTest, DrainCheckpointRecoverFinishesEverySessionBitwise) {
+  DrainMidRunAndRecover("/tmp/sky_serve_test_drain_ckpt.bin");
+}
+
+TEST_F(ServeTest, DrainUnderASlowCheckpointWriterRecoversBitwise) {
+  // Every periodic write is still in flight when the next window comes, so
+  // the drain checkpoint must wait for one before it is written — and the
+  // file the drain leaves is its own.
+  ScopedWriteHook slow(&SlowWrite);
+  DrainMidRunAndRecover("/tmp/sky_serve_test_slow_drain_ckpt.bin");
+  EXPECT_EQ(g_max_writes_in_flight.load(), 1);
+}
+
 TEST_F(ServeTest, MetricsDocumentCarriesTheCounters) {
   ServerOptions opts = BaseServerOptions();
   opts.shared_budget_core_s_per_video_s = 100.0;
@@ -635,6 +727,8 @@ TEST_F(ServeTest, MetricsDocumentCarriesTheCounters) {
         "\"boundaries_planned\"", "\"boundary_p50_ms\"",
         "\"boundary_p99_ms\"",
         "\"shared_budget_core_s_per_video_s\": 100", "\"fleet_restarts\"",
+        "\"checkpoints_written\": 0", "\"checkpoint_failures\": 0",
+        "\"last_checkpoint_error\": \"\"",
         "\"sessions\"", "\"workload\": \"ev\"", "\"state\": \"running\"",
         "\"stream_index\": 0"}) {
     EXPECT_NE(metrics->find(key), std::string::npos)
@@ -758,6 +852,165 @@ TEST_F(ServeTest, CheckpointAtABoundaryIsByteIdenticalAtWorkers1And4) {
   auto parsed = serve::ParseServeCheckpoint(bytes[0]);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->sessions.size(), 2u);
+}
+
+/// Serves `specs` with the clock held until all are admitted and a
+/// checkpoint at every boundary, and fetches their results; `settled`
+/// receives the metrics once all `boundaries` periodic checkpoints have an
+/// outcome. The server is drained, so the checkpoint file is its drain
+/// checkpoint.
+struct CheckpointedRun {
+  std::vector<uint64_t> ids;
+  std::vector<EngineResult> results;
+  std::string settled;
+};
+
+void ServeCheckpointed(ServerOptions opts,
+                       const std::vector<SessionSpec>& specs,
+                       uint64_t boundaries, CheckpointedRun* run) {
+  opts.start_after_sessions = specs.size();
+  opts.checkpoint_every_boundaries = 1;
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect((*server)->port());
+  ASSERT_TRUE(client.ok());
+  for (const SessionSpec& spec : specs) {
+    auto admitted = client->OpenSession(spec);
+    ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    run->ids.push_back(admitted->first);
+  }
+  for (uint64_t id : run->ids) {
+    auto result = client->FetchResult(id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    run->results.push_back(std::move(*result));
+  }
+  run->settled = SettledCheckpointMetrics(&*client, boundaries);
+  // Make the drain's write outlast Wait()'s own shutdown (the listener
+  // polls every 200 ms), so the check below sees whether Wait() waited.
+  g_write_ms = 400;
+  ASSERT_TRUE(client->Drain().ok());
+  EXPECT_TRUE((*server)->Wait().ok());
+  // Durable once Wait() returns, with the server still alive: the file is
+  // the drain checkpoint, every session done — not a periodic one from
+  // while they ran.
+  auto drained = serve::LoadServeCheckpoint(opts.checkpoint_path);
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  ASSERT_EQ(drained->sessions.size(), specs.size());
+  for (const serve::SessionRecord& rec : drained->sessions) {
+    EXPECT_EQ(rec.state, serve::SessionState::kDone) << "session " << rec.id;
+  }
+}
+
+TEST_F(ServeTest, SlowCheckpointWriterKeepsEveryCheckpointAtWorkers1And4) {
+  std::vector<SessionSpec> specs;
+  for (uint64_t seed : {720, 721}) {
+    specs.push_back(SpecForSeed(seed));
+    specs.back().duration_days = 1.0;
+  }
+  std::vector<Tenant> tenants(specs.size());
+  std::vector<core::StreamEngineJob> jobs;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    jobs.push_back(MirrorJob(specs[i], &tenants[i]));
+  }
+  auto reference = core::StreamSet::Create(std::move(jobs));
+  ASSERT_TRUE(reference.ok());
+  while (!reference->Done()) ASSERT_TRUE(reference->Step().ok());
+  auto ref_results = reference->Results();
+  const uint64_t boundaries = reference->boundary_latencies_ms().size();
+  ASSERT_EQ(boundaries, 8u);
+
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    const std::string label = std::to_string(workers) + " workers";
+    const std::string path = "/tmp/sky_serve_test_slow_w" +
+                             std::to_string(workers) + "_ckpt.bin";
+    std::remove(path.c_str());
+    CheckpointedRun run;
+    {
+      ScopedWriteHook slow(&SlowWrite);
+      ServerOptions opts = BaseServerOptions();
+      opts.checkpoint_path = path;
+      opts.workers = workers;
+      ServeCheckpointed(opts, specs, boundaries, &run);
+      EXPECT_EQ(g_max_writes_in_flight.load(), 1) << label;
+    }
+    ASSERT_EQ(run.results.size(), specs.size()) << label;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(ref_results[i].ok());
+      EXPECT_TRUE(EngineResultsIdentical(*ref_results[i], run.results[i]))
+          << label << ", session " << i;
+    }
+    // Backpressure, not dropping: a write per boundary, none failed.
+    ASSERT_FALSE(run.settled.empty()) << label << ": checkpoints never settled";
+    EXPECT_EQ(MetricU64(run.settled, "boundaries_planned"), boundaries)
+        << label;
+    EXPECT_EQ(MetricU64(run.settled, "checkpoints_written"), boundaries)
+        << label;
+    EXPECT_EQ(MetricU64(run.settled, "checkpoint_failures"), 0u) << label;
+
+    // The drain checkpoint recovers: finished sessions keep their results.
+    ServerOptions opts = BaseServerOptions();
+    opts.recover_path = path;
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << label << ": " << server.status().ToString();
+    auto client = Client::Connect((*server)->port());
+    ASSERT_TRUE(client.ok());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      auto result = client->FetchResult(run.ids[i]);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      EXPECT_TRUE(EngineResultsIdentical(run.results[i], *result))
+          << label << ", session " << i;
+    }
+    ASSERT_TRUE(client->Drain().ok());
+    EXPECT_TRUE((*server)->Wait().ok());
+    std::remove(path.c_str());
+  }
+}
+
+TEST_F(ServeTest, FailedPeriodicCheckpointIsCountedAndTheRunStaysBitwise) {
+  std::vector<SessionSpec> specs;
+  for (uint64_t seed : {730, 731}) {
+    specs.push_back(SpecForSeed(seed));
+    specs.back().duration_days = 1.0;
+  }
+  std::vector<Tenant> tenants(specs.size());
+  std::vector<core::StreamEngineJob> jobs;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    jobs.push_back(MirrorJob(specs[i], &tenants[i]));
+  }
+  auto reference = core::StreamSet::Create(std::move(jobs));
+  ASSERT_TRUE(reference.ok());
+  while (!reference->Done()) ASSERT_TRUE(reference->Step().ok());
+  auto ref_results = reference->Results();
+  const uint64_t boundaries = reference->boundary_latencies_ms().size();
+  ASSERT_EQ(boundaries, 8u);
+
+  const std::string path = "/tmp/sky_serve_test_failed_ckpt.bin";
+  std::remove(path.c_str());
+  CheckpointedRun run;
+  {
+    ScopedWriteHook fail_third(&FailOneWrite);
+    g_fail_call = 2;
+    ServerOptions opts = BaseServerOptions();
+    opts.checkpoint_path = path;
+    ServeCheckpointed(opts, specs, boundaries, &run);
+    g_fail_call = -1;
+  }
+  ASSERT_EQ(run.results.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(ref_results[i].ok());
+    EXPECT_TRUE(EngineResultsIdentical(*ref_results[i], run.results[i]))
+        << "session " << i;
+  }
+  ASSERT_FALSE(run.settled.empty()) << "checkpoints never settled";
+  EXPECT_EQ(MetricU64(run.settled, "checkpoint_failures"), 1u)
+      << run.settled;
+  EXPECT_EQ(MetricU64(run.settled, "checkpoints_written"), boundaries - 1)
+      << run.settled;
+  EXPECT_NE(run.settled.find("\"last_checkpoint_error\": \"Internal: "
+                             "injected checkpoint write failure\""),
+            std::string::npos)
+      << run.settled;
+  std::remove(path.c_str());
 }
 
 /// The copying path the one-pass writer replaced, spelled out as it was: an
